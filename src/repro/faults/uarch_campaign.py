@@ -422,13 +422,13 @@ def run_workload_trials(
             if key in completed:
                 continue
             trial_rng = wrng.child(f"trial:{point}:{index}")
-            field_index, flip_field, bit = _pick_bit(
-                prefix, config.fault_model, trial_rng
+            flip_field, bit = prefix.registry.pick_bit(
+                trial_rng, classes=config.fault_model.target_classes
             )
             outcome = guard.run(
                 key, workload, point, index,
                 lambda: _run_trial(
-                    workload, prefix, golden, config, point, field_index, bit
+                    workload, prefix, golden, config, point, flip_field.index, bit
                 ),
                 descriptor={
                     "level": "uarch",
@@ -447,14 +447,6 @@ def run_workload_trials(
         total_bits=prefix.registry.total_bits(),
         golden_cache=golden_cache,
     )
-
-
-def _pick_bit(prefix: Pipeline, fault_model: StateBitFlip, rng: DeterministicRng):
-    classes = fault_model.target_classes
-    registry = prefix.registry
-    flip_field, bit = registry.pick_bit(rng, classes=classes)
-    field_index = registry.fields.index(flip_field)
-    return field_index, flip_field, bit
 
 
 def _run_golden(bundle, config: UarchCampaignConfig, inject_cycles) -> _GoldenRun:
@@ -490,11 +482,6 @@ def _run_golden(bundle, config: UarchCampaignConfig, inject_cycles) -> _GoldenRu
     )
 
 
-def _entry_index(name: str) -> int:
-    """Slot number from a registered field name like ``prf.value[37]``."""
-    return int(name[name.index("[") + 1:-1])
-
-
 def _latent_is_arch_relevant(faulty: Pipeline, diff_indices: list[int]) -> bool:
     """Is any residual state difference architecturally relevant?
 
@@ -504,21 +491,17 @@ def _latent_is_arch_relevant(faulty: Pipeline, diff_indices: list[int]) -> bool:
     of any structure is dead state — the paper's failure-unlikely *other*.
     """
     mapped = set(faulty.arch_rat.map)
+    storebuf = faulty.storebuf
+    entries = (storebuf.addr, storebuf.data, storebuf.size_log2)
     for index in diff_indices:
-        flip_field = faulty.registry.fields[index]
-        if flip_field.structure == "arch_rat":
+        field = faulty.registry.field(index)
+        storage, slot = field.bank.storage, field.slot
+        if storage is faulty.arch_rat.map or storage is storebuf.valid:
             return True
-        if flip_field.structure == "storebuf":
-            if flip_field.name.startswith("storebuf.valid"):
-                return True
-            if flip_field.name.startswith(
-                ("storebuf.addr", "storebuf.data", "storebuf.size")
-            ) and faulty.storebuf.valid[_entry_index(flip_field.name)]:
-                return True
-            continue
-        if flip_field.structure == "prf" and flip_field.name.startswith("prf.value"):
-            if _entry_index(flip_field.name) in mapped:
-                return True
+        if any(storage is entry for entry in entries) and storebuf.valid[slot]:
+            return True
+        if storage is faulty.prf.values and slot in mapped:
+            return True
     return False
 
 
@@ -533,7 +516,7 @@ def _run_trial(
 ) -> UarchTrialResult:
     faulty = prefix.fork()
     faulty.retired_log = []
-    flip_field = faulty.registry.fields[field_index]
+    flip_field = faulty.registry.field(field_index)
     flip_field.flip(bit)
 
     base = faulty.retired_count

@@ -46,7 +46,7 @@ class SetAssociativeCache:
     each, set-major): ``_tags``, ``_valid``, and ``_order``. The LRU order
     array holds way numbers, most-recent first within each set's span — the
     hardware's per-set recency stack encoded as one latch bank. Arrays are
-    mutated in place only, so registry closures and forks stay valid.
+    mutated in place only, so the registry's banks stay bound to them.
     """
 
     def __init__(self, sets: int, ways: int, line_bytes: int):
@@ -118,8 +118,15 @@ class SetAssociativeCache:
                 return True
         return False
 
-    def register_state(self, registry: "StateRegistry", structure: str) -> None:
-        """Expose tag/valid/LRU arrays as injectable ``mem``-class state."""
+    def register_state(
+        self, registry: "StateRegistry", structure: str, injectable: bool = True
+    ) -> None:
+        """Describe tag/valid/LRU arrays as ``mem``-class banks (shadow
+        state unless ``injectable``) and the hit/miss tallies."""
+        registry.shadow(self, "hits", "misses")
+        if not injectable:
+            registry.shadow(self, "_tags", "_valid", "_order")
+            return
         registry.register_list(
             structure, "mem", f"{structure}.tag", self._tags, self.tag_bits
         )
@@ -135,8 +142,8 @@ class Tlb:
     """Fully-associative TLB with FIFO replacement.
 
     The page list is variable-length (a Python-level FIFO), so it has no
-    fixed latch encoding to register; TLBs stay outside the injection
-    surface even under ``memhier_targets`` and are documented as such.
+    fixed latch encoding to register; TLBs are shadow state even under
+    ``memhier_targets``.
     """
 
     def __init__(self, entries: int, page_shift: int = 13):
@@ -211,7 +218,13 @@ class MshrFile:
             self._valid[slot] = 0
             self._addr[slot] = 0
 
-    def register_state(self, registry: "StateRegistry", structure: str = "mshr") -> None:
+    def register_state(
+        self, registry: "StateRegistry", structure: str = "mshr", injectable: bool = True
+    ) -> None:
+        registry.shadow(self, "allocations", "overflows")
+        if not injectable:
+            registry.shadow(self, "_valid", "_addr")
+            return
         registry.register_list(
             structure, "mem", f"{structure}.valid", self._valid, 1
         )

@@ -1,10 +1,16 @@
-"""Bit-addressable state elements and the injection registry.
+"""The machine-state description: injectable banks and shadow state.
 
-Every latch and RAM cell of the pipeline registers itself here, giving the
-fault-injection framework a uniform view of the machine's state: it can
-count bits, pick a uniformly random (field, bit) pair, flip it, snapshot the
-whole machine, and diff two snapshots — exactly the operations the paper's
-latch-level campaigns need.
+Each structure describes its state here once, where it owns it. *Banks*
+are the injectable latches and RAM cells: one backing list of ints per
+bank, registered with a name, structure, state class and width, each slot
+one field. Field *i* of the flat view is arithmetic over bank start
+offsets, in registration order, so the fault-injection framework gets a
+uniform view of the machine: it can count bits, pick a uniformly random
+(field, bit) pair, flip it, snapshot every field and diff two snapshots —
+exactly the operations the paper's latch-level campaigns need. *Shadow
+state* is what a fork must carry but a flip never targets (predictor
+tables, timing metadata, status counters, the event wheel), declared as
+attribute names of its owner.
 
 State classes mirror the paper's taxonomy:
 
@@ -19,20 +25,24 @@ State classes mirror the paper's taxonomy:
   coverage is what protects them.
 - ``mem``  — memory-hierarchy metadata: cache tag/valid/LRU arrays and the
   MSHR file. The paper excludes these from its campaigns ("caches are
-  easily protected by ECC or parity"), so they register only when a
-  pipeline is built with ``memhier_targets`` — the opt-in fault surface
-  behind the miss-rate-spike / stall-outlier / spurious-memory-op
-  detector study. Tag-only caches make this class timing-only corruption:
-  it can never change an architectural value directly.
+  easily protected by ECC or parity"), so they are banks only when a
+  pipeline is built with ``memhier_targets`` (shadow state otherwise) —
+  the opt-in fault surface behind the miss-rate-spike / stall-outlier /
+  spurious-memory-op detector study. Tag-only caches make this class
+  timing-only corruption: it can never change an architectural value
+  directly.
 
-Predictor tables intentionally never register ("corrupt predictor table
-entries cannot lead to failure"), and TLBs stay excluded even under
-``memhier_targets`` — their FIFO page list has no fixed latch encoding.
+Predictor tables are always shadow state ("corrupt predictor table entries
+cannot lead to failure"), and so are TLBs — their FIFO page list has no
+fixed latch encoding.
 """
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 
 from repro.util.rng import DeterministicRng
@@ -43,30 +53,61 @@ STATE_CLASSES = ("ram", "ctrl", "data", "mem")
 LATCH_CLASSES = ("ctrl", "data")
 
 
+@dataclass(eq=False, repr=False, slots=True)
+class StateBank:
+    """One registered list: ``len(storage)`` fields of one width and class,
+    the first of them at flat index ``start``."""
+
+    name: str
+    structure: str
+    state_class: str
+    width: int
+    storage: list[int]
+    on_set: Callable[[], None] | None
+    start: int
+
+    @property
+    def bits(self) -> int:
+        return len(self.storage) * self.width
+
+
+@dataclass(eq=False, repr=False, slots=True)
 class StateField:
-    """One named, fixed-width state element with get/set accessors."""
+    """View of one field: slot ``slot`` of ``bank``."""
 
-    __slots__ = ("name", "structure", "state_class", "width", "get", "set")
+    bank: StateBank
+    slot: int
 
-    def __init__(
-        self,
-        name: str,
-        structure: str,
-        state_class: str,
-        width: int,
-        get: Callable[[], int],
-        set: Callable[[int], None],
-    ):
-        if state_class not in STATE_CLASSES:
-            raise ValueError(f"unknown state class {state_class!r}")
-        if width <= 0:
-            raise ValueError(f"width must be positive, got {width}")
-        self.name = name
-        self.structure = structure
-        self.state_class = state_class
-        self.width = width
-        self.get = get
-        self.set = set
+    @property
+    def name(self) -> str:
+        return f"{self.bank.name}[{self.slot}]"
+
+    @property
+    def structure(self) -> str:
+        return self.bank.structure
+
+    @property
+    def state_class(self) -> str:
+        return self.bank.state_class
+
+    @property
+    def width(self) -> int:
+        return self.bank.width
+
+    @property
+    def index(self) -> int:
+        """Position of this field in the flat snapshot."""
+        return self.bank.start + self.slot
+
+    def get(self) -> int:
+        return self.bank.storage[self.slot]
+
+    def set(self, value: int) -> None:
+        """Write through the registry: masks to width, fires ``on_set``."""
+        bank = self.bank
+        bank.storage[self.slot] = value & ((1 << bank.width) - 1)
+        if bank.on_set is not None:
+            bank.on_set()
 
     def flip(self, bit: int) -> None:
         if not 0 <= bit < self.width:
@@ -78,27 +119,15 @@ class StateField:
 
 
 class StateRegistry:
-    """All injectable state of one pipeline instance."""
+    """The state description of one pipeline instance."""
 
     def __init__(self):
-        self.fields: list[StateField] = []
-        self._prefix_bits: list[int] | None = None
+        self.banks: list[StateBank] = []
+        # (weak reference to owner, attribute names) in declaration order.
+        self.shadows: list[tuple[weakref.ref, tuple[str, ...]]] = []
+        self.size = 0  # fields over all banks
 
-    # ---------------------------------------------------------- registering
-
-    def register(
-        self,
-        name: str,
-        structure: str,
-        state_class: str,
-        width: int,
-        get: Callable[[], int],
-        set: Callable[[int], None],
-    ) -> StateField:
-        field = StateField(name, structure, state_class, width, get, set)
-        self.fields.append(field)
-        self._prefix_bits = None
-        return field
+    # ---------------------------------------------------------- describing
 
     def register_list(
         self,
@@ -109,110 +138,112 @@ class StateRegistry:
         width: int,
         on_set: Callable[[], None] | None = None,
     ) -> None:
-        """Register every slot of a list of ints (an SRAM array or a latch
-        bank). The list object must stay in place — slots are accessed by
-        index through closures.
+        """Register a list of ints (an SRAM array or a latch bank) as one
+        bank. The list must stay in place and keep its length.
 
-        ``on_set``, when given, fires after every write through the
-        registered setter — i.e. on fault injection (:meth:`StateField.flip`)
-        and on :meth:`restore`, but not on the structure's own direct list
-        writes. Structures use it to invalidate derived lookup indexes
-        (e.g. the scheduler's wakeup index) when state changes behind
-        their back."""
+        ``on_set``, when given, fires after a write through the registry —
+        fault injection (:meth:`StateField.flip`), and once per bank on
+        :meth:`restore` and a fork's copy — but not on the structure's own
+        direct list writes. Structures use it to invalidate derived lookup
+        indexes (e.g. the scheduler's wakeup index) when state changes
+        behind their back."""
+        if state_class not in STATE_CLASSES:
+            raise ValueError(f"unknown state class {state_class!r}")
+        if width <= 0:
+            raise ValueError(f"width must be positive, got {width}")
+        self.banks.append(StateBank(
+            base_name, structure, state_class, width, storage, on_set, self.size
+        ))
+        self.size += len(storage)
 
-        def make_get(index: int) -> Callable[[], int]:
-            return lambda: storage[index]
-
-        def make_set(index: int) -> Callable[[int], None]:
-            mask = (1 << width) - 1
-
-            if on_set is None:
-
-                def setter(value: int, index: int = index) -> None:
-                    storage[index] = value & mask
-
-                return setter
-
-            def notifying_setter(value: int, index: int = index) -> None:
-                storage[index] = value & mask
-                on_set()
-
-            return notifying_setter
-
-        for index in range(len(storage)):
-            self.register(
-                f"{base_name}[{index}]",
-                structure,
-                state_class,
-                width,
-                make_get(index),
-                make_set(index),
-            )
+    def shadow(self, owner: object, *names: str) -> None:
+        """Declare attributes of ``owner`` as shadow state, copied by a fork
+        and never flipped: a list in place, a dict (the event wheel) one
+        level deep, anything else must be immutable. The owner is held
+        weakly so that a pipeline's own declarations form no cycle."""
+        self.shadows.append((weakref.ref(owner), names))
 
     # ------------------------------------------------------------- queries
 
-    def injectable_fields(self) -> list[StateField]:
-        return list(self.fields)
+    @property
+    def fields(self) -> list[StateField]:
+        """Views of every field, in flat snapshot order."""
+        return [
+            StateField(bank, slot)
+            for bank in self.banks for slot in range(len(bank.storage))
+        ]
 
-    def fields_of_classes(self, classes: tuple[str, ...]) -> list[StateField]:
-        allowed = set(classes)
-        return [field for field in self.fields if field.state_class in allowed]
+    def field(self, index: int) -> StateField:
+        """The field at flat snapshot position ``index``."""
+        if not 0 <= index < self.size:
+            raise IndexError(f"field index {index} out of range")
+        bank = self.banks[bisect_right(self.banks, index, key=lambda bank: bank.start) - 1]
+        return StateField(bank, index - bank.start)
+
+    def _banks_of(self, classes: tuple[str, ...] | None) -> list[StateBank]:
+        return [
+            bank for bank in self.banks
+            if bank.storage and (classes is None or bank.state_class in classes)
+        ]
 
     def total_bits(self, classes: tuple[str, ...] | None = None) -> int:
-        fields = self.fields if classes is None else self.fields_of_classes(classes)
-        return sum(field.width for field in fields)
+        return sum(bank.bits for bank in self._banks_of(classes))
 
     def bits_by_structure(self) -> dict[str, int]:
         totals: dict[str, int] = {}
-        for field in self.fields:
-            totals[field.structure] = totals.get(field.structure, 0) + field.width
+        for bank in self.banks:
+            totals[bank.structure] = totals.get(bank.structure, 0) + bank.bits
         return totals
 
     # ------------------------------------------------------------ sampling
-
-    def _prefix(self, fields: list[StateField]) -> list[int]:
-        prefix = []
-        total = 0
-        for field in fields:
-            total += field.width
-            prefix.append(total)
-        return prefix
 
     def pick_bit(
         self,
         rng: DeterministicRng,
         classes: tuple[str, ...] | None = None,
     ) -> tuple[StateField, int]:
-        """Uniformly pick one bit across all (optionally filtered) state."""
-        fields = self.fields if classes is None else self.fields_of_classes(classes)
-        if not fields:
+        """Uniformly pick one bit across all (optionally filtered) state.
+        ``field.index`` is the picked field's flat snapshot position."""
+        banks = self._banks_of(classes)
+        if not banks:
             raise ValueError("no fields to pick from")
-        if classes is None:
-            if self._prefix_bits is None:
-                self._prefix_bits = self._prefix(self.fields)
-            prefix = self._prefix_bits
-        else:
-            prefix = self._prefix(fields)
-        bit_index = rng.randrange(prefix[-1])
-        field_index = bisect_right(prefix, bit_index)
-        field = fields[field_index]
-        offset = bit_index - (prefix[field_index - 1] if field_index else 0)
-        return field, offset
+        ends = list(accumulate(bank.bits for bank in banks))
+        bit_index = rng.randrange(ends[-1])
+        position = bisect_right(ends, bit_index)
+        bank = banks[position]
+        offset = bit_index - (ends[position - 1] if position else 0)
+        slot, bit = divmod(offset, bank.width)
+        return StateField(bank, slot), bit
 
     # ----------------------------------------------------------- snapshots
 
     def snapshot(self) -> list[int]:
-        """Values of every field, in registration order."""
-        return [field.get() for field in self.fields]
+        """Values of every field: the banks concatenated, in registration order."""
+        values: list[int] = []
+        for bank in self.banks:
+            values += bank.storage
+        return values
 
     def restore(self, snapshot: list[int]) -> None:
-        if len(snapshot) != len(self.fields):
+        if len(snapshot) != self.size:
             raise ValueError("snapshot length mismatch")
-        for field, value in zip(self.fields, snapshot):
-            field.set(value)
+        for bank in self.banks:
+            mask = (1 << bank.width) - 1
+            end = bank.start + len(bank.storage)
+            bank.storage[:] = [value & mask for value in snapshot[bank.start:end]]
+            if bank.on_set is not None:
+                bank.on_set()
 
     def diff_indices(self, a: list[int], b: list[int]) -> list[int]:
         """Indices of fields whose values differ between two snapshots."""
         if len(a) != len(b):
             raise ValueError("snapshot length mismatch")
-        return [index for index, (x, y) in enumerate(zip(a, b)) if x != y]
+        diff: list[int] = []
+        for bank in self.banks:
+            start = bank.start
+            end = start + len(bank.storage)
+            if a[start:end] != b[start:end]:
+                diff.extend(
+                    index for index in range(start, end) if a[index] != b[index]
+                )
+        return diff

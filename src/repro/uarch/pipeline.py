@@ -127,9 +127,9 @@ class Pipeline:
         self._fetch_pc = [entry_pc]
         self.registry.register_list("fetch", "data", "fetch.pc", self._fetch_pc, 64)
 
-        # Predictors and caches (excluded from injection by default; the
-        # caches and MSHR file register as "mem"-class state when the
-        # memory-hierarchy fault surface is enabled).
+        # Predictors and caches: shadow state, except that the caches and
+        # MSHR file register their arrays as "mem"-class banks when the
+        # memory-hierarchy fault surface is enabled.
         self.predictor = CombiningPredictor(cfg)
         self.btb = BranchTargetBuffer(cfg.btb_entries)
         self.ras = ReturnAddressStack(cfg.ras_entries)
@@ -141,10 +141,17 @@ class Pipeline:
         self.dtlb = Tlb(cfg.dtlb_entries)
         self.mshr = MshrFile(cfg.mshr_entries)
         self.memhier_targets = memhier_targets
-        if memhier_targets:
-            self.icache.register_state(self.registry, "icache")
-            self.dcache.register_state(self.registry, "dcache")
-            self.mshr.register_state(self.registry, "mshr")
+        shadow = self.registry.shadow
+        shadow(self.predictor, "bimodal", "gshare", "chooser", "history")
+        shadow(self.btb, "tags", "targets")
+        shadow(self.ras, "stack", "top")
+        shadow(self.confidence, "table")
+        shadow(self.memdep, "table")
+        shadow(self.itlb, "_pages", "hits", "misses")
+        shadow(self.dtlb, "_pages", "hits", "misses")
+        self.icache.register_state(self.registry, "icache", memhier_targets)
+        self.dcache.register_state(self.registry, "dcache", memhier_targets)
+        self.mshr.register_state(self.registry, "mshr", memhier_targets)
 
         # Machine status.
         self.cycle_count = 0
@@ -171,6 +178,13 @@ class Pipeline:
         # Event wheel: cycle -> list of event tuples.
         self._events: dict[int, list[tuple]] = {}
         self._next_seq = 1
+        shadow(
+            self, "cycle_count", "retired_count", "total_retired", "halted",
+            "stopped", "exception", "deadlock", "watchdog_counter",
+            "mispredict_count", "hc_mispredict_count", "branch_count",
+            "_fetch_stalled_until", "_fetch_faulted", "store_buffer_gated",
+            "_events", "_next_seq",
+        )
 
         # Observability.
         self.retired_log: list[RetiredInst] | None = [] if collect_retired else None
@@ -182,6 +196,7 @@ class Pipeline:
         # for memory-hierarchy symptoms pay nothing for them.
         self.record_memhier_symptoms = record_memhier_symptoms
         self._spurious_flagged = False
+        shadow(self, "_spurious_flagged")
         # Hook invoked when an exception reaches the ROB head or the
         # watchdog saturates; a ReStore controller installs itself here.
         # Signature: handler(kind: str, payload) -> bool (True = handled).
@@ -1367,9 +1382,11 @@ class Pipeline:
 
         Fault campaigns run one golden pipeline forward and fork it at each
         injection point, so a trial only pays for the post-injection window
-        instead of a whole run from reset. Registered state is copied via
-        the registry; unregistered substrate (memory image, predictor and
-        cache arrays, timing metadata, event wheel) is copied explicitly.
+        instead of a whole run from reset. A fork is a fresh pipeline built
+        with the same options, one copy over the machine-state description
+        (every bank and shadow attribute of the registry, see
+        :mod:`repro.uarch.latches`) and a clone of the memory image; the
+        pure decode cache is shared.
         """
         copy = Pipeline(
             self.memory.clone(),
@@ -1381,66 +1398,22 @@ class Pipeline:
             memhier_targets=self.memhier_targets,
             record_memhier_symptoms=self.record_memhier_symptoms,
         )
-        copy.registry.restore(self.registry.snapshot())
-        # Predictors.
-        copy.predictor.bimodal[:] = self.predictor.bimodal
-        copy.predictor.gshare[:] = self.predictor.gshare
-        copy.predictor.chooser[:] = self.predictor.chooser
-        copy.predictor.history = self.predictor.history
-        copy.btb.tags[:] = self.btb.tags
-        copy.btb.targets[:] = self.btb.targets
-        copy.ras.stack[:] = self.ras.stack
-        copy.ras.top = self.ras.top
-        copy.confidence.table[:] = self.confidence.table
-        copy.memdep.table[:] = self.memdep.table
-        # Caches, TLBs, and the MSHR file. Storage is copied in place —
-        # rebinding the lists would orphan any registry closures over them
-        # — and the hit/miss tallies come along so a fork's miss-rate
-        # telemetry continues from the parent instead of restarting at
-        # zero. (Under memhier_targets the registry restore above already
-        # wrote the registered arrays; these assignments are then no-ops.)
-        for mine, theirs in (
-            (self.icache, copy.icache),
-            (self.dcache, copy.dcache),
+        for source, target in zip(self.registry.banks, copy.registry.banks):
+            target.storage[:] = source.storage
+            if target.on_set is not None:
+                target.on_set()
+        for (source, names), (target, _) in zip(
+            self.registry.shadows, copy.registry.shadows
         ):
-            theirs._tags[:] = mine._tags
-            theirs._valid[:] = mine._valid
-            theirs._order[:] = mine._order
-            theirs.hits = mine.hits
-            theirs.misses = mine.misses
-        for mine, theirs in ((self.itlb, copy.itlb), (self.dtlb, copy.dtlb)):
-            theirs._pages[:] = mine._pages
-            theirs.hits = mine.hits
-            theirs.misses = mine.misses
-        copy.mshr._valid[:] = self.mshr._valid
-        copy.mshr._addr[:] = self.mshr._addr
-        copy.mshr.allocations = self.mshr.allocations
-        copy.mshr.overflows = self.mshr.overflows
-        copy._spurious_flagged = self._spurious_flagged
-        # Machine status.
-        copy.cycle_count = self.cycle_count
-        copy.retired_count = self.retired_count
-        copy.total_retired = self.total_retired
-        copy.halted = self.halted
-        copy.stopped = self.stopped
-        copy.exception = self.exception
-        copy.deadlock = self.deadlock
-        copy.watchdog_counter = self.watchdog_counter
-        copy.mispredict_count = self.mispredict_count
-        copy.hc_mispredict_count = self.hc_mispredict_count
-        copy.branch_count = self.branch_count
-        copy._fetch_stalled_until = self._fetch_stalled_until
-        copy._fetch_faulted = self._fetch_faulted
-        copy.store_buffer_gated = self.store_buffer_gated
-        # Timing metadata and the event wheel (tuples are immutable).
-        copy._events = {cycle: list(events) for cycle, events in self._events.items()}
-        copy._next_seq = self._next_seq
-        copy.rob.seq[:] = self.rob.seq
-        copy.sched.seq[:] = self.sched.seq
-        copy.fetchq.ready_cycle[:] = self.fetchq.ready_cycle
-        copy.storebuf.total_pushed = self.storebuf.total_pushed
-        copy.storebuf.total_popped = self.storebuf.total_popped
-        # The decode cache is pure and safely shared.
+            source, target = source(), target()
+            for name in names:
+                value = getattr(source, name)
+                if type(value) is list:
+                    getattr(target, name)[:] = value
+                    continue
+                if type(value) is dict:  # the event wheel: cycle -> [tuple]
+                    value = {key: list(items) for key, items in value.items()}
+                setattr(target, name, value)
         copy._decode_cache = self._decode_cache
         return copy
 

@@ -47,7 +47,7 @@ class FetchQueue:
 
     An SRAM structure in the paper's model (an ECC target of the hardened
     pipeline). ``ready_cycle`` is timing metadata modelling front-end depth,
-    not stored bits.
+    not stored bits: shadow state.
     """
 
     def __init__(self, config: PipelineConfig, registry: StateRegistry):
@@ -61,7 +61,7 @@ class FetchQueue:
         self.conf = [0] * size
         self.fetch_fault = [0] * size
         self.hist = [0] * size
-        self.ready_cycle = [0] * size  # unregistered timing metadata
+        self.ready_cycle = [0] * size
         self._head = [0]
         self._tail = [0]
         index_bits = _bits_for(size)
@@ -75,6 +75,7 @@ class FetchQueue:
         registry.register_list("fetchq", "ram", "fetchq.hist", self.hist, config.history_bits)
         registry.register_list("fetchq", "data", "fetchq.head", self._head, index_bits)
         registry.register_list("fetchq", "data", "fetchq.tail", self._tail, index_bits)
+        registry.shadow(self, "ready_cycle")
 
     @property
     def head(self) -> int:
@@ -223,9 +224,10 @@ class Scheduler:
     path keeps a preg -> {slots} *waiter index* so a broadcast only visits
     slots that were ever dispatched waiting on that preg, validating each
     hit against the live ``valid``/``src?_preg`` fields (so a stale index
-    entry can never set a wrong bit). The index is rebuilt from a full scan
-    whenever injection or snapshot-restore writes a scheduler field through
-    the registry (see ``on_set`` in :mod:`repro.uarch.latches`), which keeps
+    entry can never set a wrong bit). The index is derived, not described
+    state: it is dropped, and rebuilt by a full scan, whenever injection,
+    restore or a fork's copy writes a scheduler bank through the registry
+    (see ``on_set`` in :mod:`repro.uarch.latches`), which keeps
     the indexed broadcast bit-identical to the full scan even with flipped
     ``valid`` or source-tag bits. Set ``use_wakeup_index = False`` to force
     the reference full scan.
@@ -247,7 +249,7 @@ class Scheduler:
         self.src2_ready = [0] * size
         self.src3_preg = [0] * size
         self.src3_ready = [0] * size
-        # Unregistered bookkeeping: sequence tag guarding slot reuse against
+        # Shadow bookkeeping: sequence tag guarding slot reuse against
         # events that belong to a squashed previous occupant.
         self.seq = [0] * size
         self.use_wakeup_index = True
@@ -268,6 +270,7 @@ class Scheduler:
         registry.register_list("sched", "ctrl", "sched.src3_preg", self.src3_preg,
                                preg_bits, on_set=invalidate)
         registry.register_list("sched", "ctrl", "sched.src3_ready", self.src3_ready, 1)
+        registry.shadow(self, "seq")
 
     def find_free(self) -> int | None:
         for index in range(self.size):
@@ -392,8 +395,8 @@ class ReorderBuffer:
         self._head = [0]
         self._tail = [0]
         self._count = [0]
-        # Unregistered bookkeeping: a monotonically increasing sequence
-        # number guarding in-flight events against squashed entries.
+        # Shadow bookkeeping: a monotonically increasing sequence number
+        # guarding in-flight events against squashed entries.
         self.seq = [0] * size
         registry.register_list("rob", "ctrl", "rob.valid", self.valid, 1)
         registry.register_list("rob", "ctrl", "rob.done", self.done, 1)
@@ -420,6 +423,7 @@ class ReorderBuffer:
         registry.register_list("rob", "data", "rob.head", self._head, index_bits)
         registry.register_list("rob", "data", "rob.tail", self._tail, index_bits)
         registry.register_list("rob", "data", "rob.count", self._count, index_bits + 1)
+        registry.shadow(self, "seq")
 
     @property
     def head(self) -> int:
@@ -572,6 +576,7 @@ class StoreBuffer:
         index_bits = _bits_for(size)
         registry.register_list("storebuf", "data", "storebuf.head", self._head, index_bits)
         registry.register_list("storebuf", "data", "storebuf.tail", self._tail, index_bits)
+        registry.shadow(self, "total_pushed", "total_popped")
 
     @property
     def head(self) -> int:

@@ -25,12 +25,17 @@ class TestStateBitFlip:
     def test_targets_all_by_default(self):
         registry = load_pipeline(build_workload("gcc").program).registry
         model = StateBitFlip()
-        assert len(model.targets(registry)) == len(registry.fields)
+        assert registry.total_bits(model.target_classes) == sum(
+            field.width for field in registry.fields
+        )
 
     def test_targets_filtered_by_class(self):
         registry = load_pipeline(build_workload("gcc").program).registry
         model = StateBitFlip(target_classes=LATCH_CLASSES)
-        targets = model.targets(registry)
-        assert targets
-        assert all(field.state_class in LATCH_CLASSES for field in targets)
-        assert len(targets) < len(registry.fields)
+        rng = DeterministicRng(3)
+        picks = [
+            registry.pick_bit(rng, classes=model.target_classes)[0]
+            for _ in range(200)
+        ]
+        assert all(field.state_class in LATCH_CLASSES for field in picks)
+        assert 0 < registry.total_bits(model.target_classes) < registry.total_bits()

@@ -30,12 +30,12 @@ class TestRegistration:
     def test_width_validation(self):
         registry = StateRegistry()
         with pytest.raises(ValueError):
-            registry.register("x", "s", "ram", 0, lambda: 0, lambda v: None)
+            registry.register_list("s", "ram", "x", [0], 0)
 
     def test_state_class_validation(self):
         registry = StateRegistry()
         with pytest.raises(ValueError):
-            registry.register("x", "s", "bogus", 1, lambda: 0, lambda v: None)
+            registry.register_list("s", "bogus", "x", [0], 1)
 
     def test_latch_classes(self):
         assert set(LATCH_CLASSES) == {"ctrl", "data"}
@@ -59,10 +59,11 @@ class TestAccessors:
         with pytest.raises(ValueError):
             registry.fields[0].flip(8)
 
-    def test_fields_of_classes(self):
+    def test_total_bits_of_classes(self):
         registry, _, _ = build_registry()
-        assert len(registry.fields_of_classes(("ram",))) == 4
-        assert len(registry.fields_of_classes(("ram", "ctrl"))) == 6
+        assert registry.total_bits(("ram",)) == 4 * 8
+        assert registry.total_bits(("ram", "ctrl")) == 4 * 8 + 2 * 3
+        assert registry.total_bits(("data",)) == 0
 
 
 class TestSampling:
