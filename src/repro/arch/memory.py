@@ -192,6 +192,15 @@ class SparseMemory:
         copy._shared = set(shared)
         return copy
 
+    def hash_into(self, digest) -> None:
+        """Feed every mapped page — number, protection and bytes, in page
+        order — into a :mod:`hashlib` object."""
+        for page in sorted(self._pages):
+            digest.update(
+                b"%d%s" % (page, self._protection[page].value.encode())
+            )
+            digest.update(self._pages[page])
+
     def equals(self, other: "SparseMemory") -> bool:
         """Content equality over all mapped pages."""
         if self._pages.keys() != other._pages.keys():

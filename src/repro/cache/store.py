@@ -62,7 +62,7 @@ if TYPE_CHECKING:
 #: Bumped whenever the pickled artifact layout changes; part of the key,
 #: so old entries become unreachable (and reclaimable via ``cache clear``)
 #: rather than misread.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class CacheCorruptionWarning(UserWarning):
@@ -95,7 +95,13 @@ class ArchGoldenArtifact:
 
 @dataclass(frozen=True)
 class UarchGoldenArtifact:
-    """The cacheable outputs of both uarch golden pipeline runs."""
+    """Everything a uarch-campaign workload takes from its golden run: the
+    retired stream, registry snapshots and retired counts at trial-end
+    cycles, and the final architectural state. Schema v3 adds what early
+    exit splices in: state digests at check boundaries (cycle -> digest
+    parts), golden's symptom list, and the ``(cycle, retired, kind,
+    payload)`` handler calls the configured detectors watch; v2 entries
+    miss cleanly."""
 
     end_cycle: int
     retired: list
@@ -103,6 +109,9 @@ class UarchGoldenArtifact:
     retired_at: dict[int, int]
     final_arch_regs: list[int]
     final_memory: "SparseMemory"
+    digests: dict[int, tuple[bytes, ...]]
+    symptoms: list
+    detector_events: list[tuple]
 
 
 @dataclass

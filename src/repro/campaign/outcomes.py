@@ -93,6 +93,10 @@ class TrialOutcome:
     status: str
     record: Any | None = None
     error: dict | None = None
+    # Trace-only figures of the run (uarch: simulated cycles and the
+    # re-convergence cycle). Never journaled and not part of equality, so
+    # journals stay deterministic.
+    trace: dict | None = field(default=None, compare=False)
 
     @property
     def order(self) -> tuple[int, int]:

@@ -307,7 +307,7 @@ def _emit_trial_events(trace, level: str, outcome: TrialOutcome) -> None:
         })
     trace.emit({
         "kind": "trial_end", "cycle": cycle, "position": position,
-        "status": outcome.status,
+        "status": outcome.status, **(outcome.trace or {}),
     })
 
 

@@ -2,16 +2,21 @@
 
 Methodology, following Section 4:
 
-1. Run each workload's pipeline once fault-free, collecting the golden
-   retired stream, full-state snapshots at the pre-selected trial-end
-   cycles, and the final architectural state.
-2. Pre-select injection cycles ("the fault injections were performed on a
-   set of about 250-300 points for each experiment"), walking one prefix
-   pipeline forward and forking it at each point.
-3. Each trial flips one uniformly-chosen state bit in the fork (caches and
+1. Pre-select injection cycles ("the fault injections were performed on a
+   set of about 250-300 points for each experiment") spread over the
+   workload's fault-free run.
+2. Run each workload's pipeline once fault-free (the golden capture
+   pass), collecting the golden retired stream and symptoms, full-state
+   snapshots at the trial-end cycles, state digests at every check
+   boundary inside a trial window, and the final architectural state, and
+   forking the pipeline at each injection point.
+3. Each trial flips one uniformly-chosen state bit in a fork (caches and
    predictor tables excluded, as in the paper) and monitors the machine for
    a window of cycles (the paper used 10,000; default scaled down), with
-   the retired stream compared against golden on the fly.
+   the retired stream compared against golden. A trial whose state digest
+   equals golden's at a check boundary has re-converged: the rest of its
+   window is golden's, so it stops there and takes golden's records for
+   the remainder (see :func:`_run_trial`).
 4. Outcomes (Table 2): watchdog saturation -> deadlock; a retired ISA
    exception absent from golden -> exception; retired-PC divergence -> cfv
    (with the JRS-gated detection latency recorded separately for Figure 5);
@@ -32,10 +37,11 @@ study filters the same trials by state class.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from collections.abc import Callable, Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from operator import attrgetter, itemgetter
 
-from repro.arch.memory import SparseMemory
 from repro.cache import GoldenArtifactCache, UarchGoldenArtifact
 from repro.campaign.guard import TrialGuard
 from repro.campaign.outcomes import (
@@ -53,7 +59,7 @@ from repro.faults.classify import (
 from repro.faults.models import StateBitFlip
 from repro.restore.hardened import ProtectionMap
 from repro.restore.symptoms import MEMHIER_DETECTOR_NAMES, build_memhier_detectors
-from repro.uarch.latches import LATCH_CLASSES
+from repro.uarch.latches import LATCH_CLASSES, digest_matches, state_digest
 from repro.uarch.pipeline import Pipeline, load_pipeline
 from repro.util.rng import DeterministicRng
 from repro.util.stats import BinomialEstimate, CategoryCounter
@@ -62,6 +68,12 @@ from repro.workloads import WORKLOAD_NAMES, build_workload
 
 # Figures 4-6 x-axis: checkpoint intervals in instructions.
 FIGURE46_INTERVALS: tuple[int, ...] = (25, 50, 100, 200, 500, 1000, 2000)
+
+#: Cycles between re-convergence checks. Golden records a state digest at
+#: every absolute multiple of this period that lies inside a trial window,
+#: and a trial compares its own digest there. Chosen by a measured sweep
+#: (DESIGN.md, "Early exit on re-convergence").
+CHECK_PERIOD = 50
 
 
 @dataclass(frozen=True)
@@ -144,22 +156,6 @@ class UarchCampaignConfig:
         the other two detectors need the opt-in event streams.
         """
         return bool({"stall_outlier", "spurious_memop"} & set(self.detectors))
-
-
-@dataclass
-class _GoldenRun:
-    """Golden-run artifacts the trial comparators need.
-
-    Carries only final state and logs (not the pipeline object itself), so
-    the whole bundle round-trips through the golden-artifact cache.
-    """
-
-    retired: list
-    end_cycle: int
-    snapshots: dict[int, list[int]]
-    retired_at: dict[int, int]
-    final_arch_regs: list[int]
-    final_memory: "SparseMemory"
 
 
 @dataclass
@@ -331,10 +327,10 @@ def run_workload_trials(
     stride slice ``index % shard_count == shard_index`` of the per-point
     trial index space (the union of all shards is exactly the serial
     campaign). With a :class:`~repro.cache.GoldenArtifactCache`, both
-    golden pipeline runs (length probe + snapshot capture) are replaced
-    by one cache load; injection cycles are recomputed deterministically
-    from the cached end cycle, so cached and uncached runs are
-    bit-identical.
+    golden pipeline runs (length probe + capture pass) are replaced by one
+    cache load and a walk to the last injection point that only forks;
+    injection cycles are recomputed deterministically from the cached end
+    cycle, so cached and uncached runs are bit-identical.
     """
     guard = guard or TrialGuard()
     validate_shard(shard)
@@ -342,55 +338,30 @@ def run_workload_trials(
     golden_cache: str | None = None
     try:
         bundle = build_workload(workload, config.workload_scale, config.seed)
-        artifact = (
+        golden = (
             cache.load("uarch", bundle.program, config)
             if cache is not None
             else None
         )
-        if artifact is not None:
-            golden = _GoldenRun(
-                retired=artifact.retired,
-                end_cycle=artifact.end_cycle,
-                snapshots=artifact.snapshots,
-                retired_at=artifact.retired_at,
-                final_arch_regs=artifact.final_arch_regs,
-                final_memory=artifact.final_memory,
-            )
-            end_cycle = golden.end_cycle
+        if golden is not None:
             golden_cache = "hit"
-        else:
-            # Choose injection cycles before running golden: spread
-            # uniformly over the run. We need golden's length first, so
-            # run it now.
-            golden = _run_golden(bundle, config, inject_cycles=None)
             end_cycle = golden.end_cycle
+        else:
+            # Injection cycles spread uniformly over the run, so golden's
+            # length must be known before the capture pass.
+            end_cycle = _run_golden(bundle, config)[0].end_cycle
         first = min(config.warmup_cycles, max(1, end_cycle // 10))
         last = max(first + 1, end_cycle - 100)
         point_count = min(config.injection_points, last - first)
         points = sorted(wrng.child("points").sample(range(first, last), point_count))
-        if artifact is None:
-            # Re-run golden to capture snapshots at each trial-end cycle.
-            snapshot_cycles = [
-                point + config.window_cycles
-                for point in points
-                if point + config.window_cycles < end_cycle
-            ]
-            golden = _run_golden(bundle, config, inject_cycles=snapshot_cycles)
+        if golden is None:
+            golden, prefixes = _run_golden(bundle, config, points)
             if cache is not None:
-                cache.store(
-                    "uarch",
-                    bundle.program,
-                    config,
-                    UarchGoldenArtifact(
-                        end_cycle=golden.end_cycle,
-                        retired=golden.retired,
-                        snapshots=golden.snapshots,
-                        retired_at=golden.retired_at,
-                        final_arch_regs=golden.final_arch_regs,
-                        final_memory=golden.final_memory,
-                    ),
-                )
+                cache.store("uarch", bundle.program, config, golden)
                 golden_cache = "miss"
+        else:
+            prefixes = _fork_at(_load(bundle, config), points)
+        total_bits = prefixes[points[0]].registry.total_bits()
     except Exception as exc:
         reason = f"{type(exc).__name__}: {exc}"
         warnings.warn(
@@ -403,17 +374,11 @@ def run_workload_trials(
     # Distribute trials so exactly trials_per_workload run: the first
     # ``extra`` points (in sorted order) take one more than the rest.
     base_trials, extra = divmod(config.trials_per_workload, point_count)
-    prefix = load_pipeline(
-        bundle.program,
-        record_cache_symptoms=config.record_cache_symptoms,
-        memhier_targets=config.memhier_targets,
-        record_memhier_symptoms=config.record_memhier_symptoms,
-    )
     outcomes: list[TrialOutcome] = []
     for position, point in enumerate(points):
         per_point = base_trials + (1 if position < extra else 0)
-        prefix.run(point - prefix.cycle_count)
-        if not prefix.running:
+        prefix = prefixes.get(point)
+        if prefix is None:  # golden halted before this point
             break
         for index in range(per_point):
             if shard is not None and index % shard[1] != shard[0]:
@@ -425,10 +390,12 @@ def run_workload_trials(
             flip_field, bit = prefix.registry.pick_bit(
                 trial_rng, classes=config.fault_model.target_classes
             )
+            trace: dict[str, int] = {}
             outcome = guard.run(
                 key, workload, point, index,
                 lambda: _run_trial(
-                    workload, prefix, golden, config, point, flip_field.index, bit
+                    workload, prefix, golden, config, point, flip_field.index,
+                    bit, trace,
                 ),
                 descriptor={
                     "level": "uarch",
@@ -438,48 +405,123 @@ def run_workload_trials(
                     "bit": bit,
                 },
             )
+            if trace:
+                outcome = replace(outcome, trace=trace)
             outcomes.append(outcome)
             if on_outcome is not None:
                 on_outcome(outcome)
     return WorkloadRunOutcome(
-        workload,
-        outcomes,
-        total_bits=prefix.registry.total_bits(),
-        golden_cache=golden_cache,
+        workload, outcomes, total_bits=total_bits, golden_cache=golden_cache
     )
 
 
-def _run_golden(bundle, config: UarchCampaignConfig, inject_cycles) -> _GoldenRun:
-    pipeline = load_pipeline(
+def _load(
+    bundle, config: UarchCampaignConfig, collect_retired: bool = False
+) -> Pipeline:
+    return load_pipeline(
         bundle.program,
-        collect_retired=True,
+        collect_retired=collect_retired,
         record_cache_symptoms=config.record_cache_symptoms,
         memhier_targets=config.memhier_targets,
         record_memhier_symptoms=config.record_memhier_symptoms,
     )
+
+
+def _fork_at(
+    pipeline: Pipeline,
+    points: Collection[int],
+    stops: Collection[int] = (),
+    on_stop: Callable[[int], None] | None = None,
+) -> dict[int, Pipeline]:
+    """Run ``pipeline`` forward through the injection ``points`` and the
+    extra ``stops`` in cycle order, forking it at each point (the trial
+    prefixes) and calling ``on_stop(cycle)`` at each stop. The walk ends
+    at the last stop, or earlier if the pipeline halts."""
+    forks: dict[int, Pipeline] = {}
+    points = set(points)
+    for cycle in sorted(points | set(stops)):
+        pipeline.run(cycle - pipeline.cycle_count)
+        if not pipeline.running:
+            break
+        if cycle in points:
+            forks[cycle] = pipeline.fork()
+        if on_stop is not None:
+            on_stop(cycle)
+    return forks
+
+
+def _next_check(cycle: int) -> int:
+    """The first check boundary strictly after ``cycle``."""
+    return (cycle // CHECK_PERIOD + 1) * CHECK_PERIOD
+
+
+def _run_golden(
+    bundle, config: UarchCampaignConfig, points: Collection[int] = ()
+) -> tuple[UarchGoldenArtifact, dict[int, Pipeline]]:
+    """Run the workload fault-free; returns golden's artifacts and the
+    trial prefixes.
+
+    With no ``points`` this is the length probe. With injection points it
+    is the capture pass: the same walk forks the pipeline at each point,
+    records a state digest at every check boundary strictly inside a trial
+    window and a registry snapshot at each trial-end cycle, and, when
+    detectors are configured, records every handler call they would see
+    through a handler that returns False, which leaves the run unchanged.
+    """
+    pipeline = _load(bundle, config, collect_retired=True)
+    window = config.window_cycles
+    checks = {
+        cycle
+        for point in points
+        for cycle in range(_next_check(point), point + window, CHECK_PERIOD)
+    }
+    ends = {point + window for point in points}
+    digests: dict[int, tuple[bytes, ...]] = {}
     snapshots: dict[int, list[int]] = {}
     retired_at: dict[int, int] = {}
-    if inject_cycles:
-        for target in sorted(set(inject_cycles)):
-            pipeline.run(target - pipeline.cycle_count)
-            if not pipeline.running:
-                break
-            snapshots[target] = pipeline.registry.snapshot()
-            retired_at[target] = pipeline.retired_count
+    detector_events: list[tuple] = []
+    if points and config.detectors:
+        watched = {
+            kind
+            for detector in build_memhier_detectors(config.detectors)
+            for kind in detector.kinds
+        }
+
+        def record(kind: str, payload) -> bool:
+            if kind in watched:
+                detector_events.append(
+                    (pipeline.cycle_count, pipeline.retired_count, kind, payload)
+                )
+            return False
+
+        pipeline.symptom_handler = record
+
+    def capture(cycle: int) -> None:
+        if cycle in checks:
+            digests[cycle] = state_digest(pipeline.registry, pipeline.memory)
+        if cycle in ends:
+            snapshots[cycle] = pipeline.registry.snapshot()
+            retired_at[cycle] = pipeline.retired_count
+
+    prefixes = _fork_at(pipeline, points, checks | ends, capture)
     pipeline.run(config.max_golden_cycles - pipeline.cycle_count)
     if not pipeline.halted:
         raise RuntimeError(
             f"golden pipeline run of {bundle.name} did not halt "
             f"(exception={pipeline.exception_name()})"
         )
-    return _GoldenRun(
-        retired=pipeline.retired_log,
+    golden = UarchGoldenArtifact(
         end_cycle=pipeline.cycle_count,
+        retired=pipeline.retired_log,
         snapshots=snapshots,
         retired_at=retired_at,
         final_arch_regs=pipeline.arch_reg_values(),
         final_memory=pipeline.memory,
+        digests=digests,
+        symptoms=pipeline.symptoms,
+        detector_events=detector_events,
     )
+    return golden, prefixes
 
 
 def _latent_is_arch_relevant(faulty: Pipeline, diff_indices: list[int]) -> bool:
@@ -505,36 +547,95 @@ def _latent_is_arch_relevant(faulty: Pipeline, diff_indices: list[int]) -> bool:
     return False
 
 
+def _simulate(faulty: Pipeline, digests: dict, end: int) -> int | None:
+    """Run a trial to cycle ``end``, checking at each check boundary
+    whether its state equals golden's there. Returns the boundary at which
+    it did, leaving the pipeline at that cycle, or None after the full
+    window. Golden records no digest past its own halt, and with an empty
+    ``digests`` map this is one plain run of the window."""
+    for cycle in range(_next_check(faulty.cycle_count), end, CHECK_PERIOD):
+        expected = digests.get(cycle)
+        if expected is None:
+            break
+        faulty.run(cycle - faulty.cycle_count)
+        if not faulty.running:
+            break
+        if digest_matches(faulty.registry, faulty.memory, expected):
+            return cycle
+    faulty.run(end - faulty.cycle_count)
+    return None
+
+
 def _run_trial(
     workload: str,
     prefix: Pipeline,
-    golden: _GoldenRun,
+    golden: UarchGoldenArtifact,
     config: UarchCampaignConfig,
     point: int,
     field_index: int,
     bit: int,
+    trace: dict[str, int] | None = None,
 ) -> UarchTrialResult:
+    """Flip one bit in a fork of ``prefix`` and classify the window.
+
+    A deterministic machine whose complete state equals golden's at cycle
+    ``c`` has golden's future, so a trial that re-converges at a check
+    boundary stops there. Its observations for the rest of the window are
+    golden's: the retired records and symptoms golden produced in
+    ``(c, end]``, and the detector events golden recorded there, replayed
+    into the trial's own detectors (whose state, such as ``miss_spike``'s
+    moving average, is the trial's). The end-of-trial final-state and
+    latent checks would compare golden with itself, so they are skipped.
+    The result equals the full-window run's field for field. ``trace``,
+    when given, receives the trial's trace-only figures.
+    """
     faulty = prefix.fork()
     faulty.retired_log = []
     flip_field = faulty.registry.field(field_index)
     flip_field.flip(bit)
 
     base = faulty.retired_count
+    end = point + config.window_cycles
     fired: dict[str, int] = {}
-    if config.detectors:
-        detectors = build_memhier_detectors(config.detectors)
+    detectors = build_memhier_detectors(config.detectors)
 
-        def _observe(kind: str, payload) -> bool:
-            # Measure first-fire positions without ever rolling back: the
-            # campaign wants detection latency, not recovery, so the trial
-            # keeps running and the failure comparators stay untouched.
-            for det in detectors:
-                if det.observe(kind, payload) and det.name not in fired:
-                    fired[det.name] = faulty.retired_count
+    def _observe(kind: str, payload, position: int) -> None:
+        # Measure first-fire positions without ever rolling back: the
+        # campaign wants detection latency, not recovery, so the trial
+        # keeps running and the failure comparators stay untouched.
+        for det in detectors:
+            if det.observe(kind, payload) and det.name not in fired:
+                fired[det.name] = position
+
+    if detectors:
+        def _handler(kind: str, payload) -> bool:
+            _observe(kind, payload, faulty.retired_count)
             return False
 
-        faulty.symptom_handler = _observe
-    faulty.run(config.window_cycles)
+        faulty.symptom_handler = _handler
+    reconverged = _simulate(faulty, golden.digests, end)
+
+    retired = faulty.retired_log
+    symptoms = faulty.symptoms
+    if reconverged is not None:
+        retired = retired + golden.retired[
+            faulty.retired_count:golden.retired_at.get(end, len(golden.retired))
+        ]
+        cycle_of = attrgetter("cycle")
+        symptoms = symptoms + golden.symptoms[
+            bisect_right(golden.symptoms, reconverged, key=cycle_of):
+            bisect_right(golden.symptoms, end, key=cycle_of)
+        ]
+        events = golden.detector_events
+        for _, position, kind, payload in events[
+            bisect_right(events, reconverged, key=itemgetter(0)):
+            bisect_right(events, end, key=itemgetter(0))
+        ]:
+            _observe(kind, payload, position)
+    if trace is not None:
+        trace["sim_cycles"] = faulty.cycle_count - point
+        if reconverged is not None:
+            trace["reconverged_cycle"] = reconverged
 
     golden_log = golden.retired
     deadlock_latency = None
@@ -542,7 +643,7 @@ def _run_trial(
     cfv_latency = None
     arch_corrupt = False
     previous_pc_mismatch = False
-    for offset, record in enumerate(faulty.retired_log):
+    for offset, record in enumerate(retired):
         index = base + offset
         latency = offset + 1
         if record.exc:
@@ -579,10 +680,10 @@ def _run_trial(
             if not store_matches:
                 arch_corrupt = True
     if faulty.deadlock:
-        deadlock_latency = len(faulty.retired_log) + 1
+        deadlock_latency = len(retired) + 1
 
     cfv_detected_latency = None
-    for event in faulty.symptoms:
+    for event in symptoms:
         if event.kind == "hc_mispredict":
             cfv_detected_latency = max(1, event.retired - base + 1)
             break
@@ -595,22 +696,21 @@ def _run_trial(
         and cfv_latency is None
         and not arch_corrupt
     )
-    if clean_stream:
+    if clean_stream and reconverged is None:
         if faulty.halted:
             # The program finished: compare final architectural state.
-            if len(faulty.retired_log) + base != len(golden_log):
-                cfv_latency = len(faulty.retired_log) + 1
+            if len(retired) + base != len(golden_log):
+                cfv_latency = len(retired) + 1
             elif not faulty.memory.equals(golden.final_memory):
                 arch_corrupt = True
             elif faulty.arch_reg_values() != golden.final_arch_regs:
                 arch_corrupt = True
         else:
-            end_cycle = point + config.window_cycles
-            snapshot = golden.snapshots.get(end_cycle)
+            snapshot = golden.snapshots.get(end)
             if (
                 snapshot is not None
-                and faulty.cycle_count == end_cycle
-                and faulty.retired_count == golden.retired_at.get(end_cycle)
+                and faulty.cycle_count == end
+                and faulty.retired_count == golden.retired_at.get(end)
             ):
                 diff = faulty.registry.diff_indices(
                     snapshot, faulty.registry.snapshot()

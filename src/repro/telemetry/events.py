@@ -25,7 +25,10 @@ SCHEMA_VERSION = 1
 
 #: kind -> required kind-specific fields (beyond kind/cycle/position).
 EVENT_KINDS: dict[str, tuple[str, ...]] = {
-    # Campaign-level trial bracketing.
+    # Campaign-level trial bracketing. A uarch ``trial_end`` also carries
+    # ``sim_cycles`` (cycles the trial simulated) and, when it stopped
+    # early on re-converging with golden, ``reconverged_cycle``; both are
+    # absent for trials replayed from a journal.
     "trial_begin": ("workload", "point", "index"),
     "injection": ("target", "bit"),
     "trial_end": ("status",),
@@ -64,6 +67,8 @@ _INT_FIELDS = frozenset(
         "distance",
         "disabled_until",
         "checkpoint_position",
+        "sim_cycles",
+        "reconverged_cycle",
     }
 )
 

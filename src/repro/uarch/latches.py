@@ -35,17 +35,26 @@ State classes mirror the paper's taxonomy:
 Predictor tables are always shadow state ("corrupt predictor table entries
 cannot lead to failure"), and so are TLBs — their FIFO page list has no
 fixed latch encoding.
+
+:func:`state_digest` hashes the whole description (banks, shadow state and
+the memory image) so that two machines can be compared for equality
+without keeping either one.
 """
 
 from __future__ import annotations
 
+import hashlib
 import weakref
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.util.rng import DeterministicRng
+
+if TYPE_CHECKING:
+    from repro.arch.memory import SparseMemory
 
 STATE_CLASSES = ("ram", "ctrl", "data", "mem")
 
@@ -247,3 +256,70 @@ class StateRegistry:
                     index for index in range(start, end) if a[index] != b[index]
                 )
         return diff
+
+
+# ---------------------------------------------------------------- digests
+
+
+def _encode(value) -> bytes:
+    """A tagged, length-prefixed byte encoding of one state value that is
+    the same in every process: int lists as bytes or 64-bit words, the
+    event wheel in cycle order, anything else (scalars, tuples, lists of
+    other values) by ``repr``, which no hash seed affects."""
+    if type(value) is list:
+        try:
+            return b"B%d:" % len(value) + bytearray(value)
+        except (TypeError, ValueError):
+            pass
+        for code in ("q", "Q"):
+            try:
+                return b"%s%d:" % (code.encode(), len(value)) + array(
+                    code, value
+                ).tobytes()
+            except (TypeError, OverflowError):
+                pass
+    elif type(value) is dict:
+        # Only lookups by cycle read the wheel, so key order is not state.
+        value = sorted(value.items())
+    data = repr(value).encode()
+    return b"r%d:" % len(data) + data
+
+
+def digest_parts(
+    registry: StateRegistry, memory: "SparseMemory"
+) -> Iterator[bytes]:
+    """The digests of the banks, the shadow state and the memory image, in
+    that order (cheapest first, so a lazy comparison usually stops after
+    the first). Equal parts mean equal machine state up to a SHA-256
+    collision."""
+    values: list[int] = []
+    for bank in registry.banks:
+        values += bank.storage
+    yield hashlib.sha256(_encode(values)).digest()
+    digest = hashlib.sha256()
+    for owner, names in registry.shadows:
+        target = owner()
+        for name in names:
+            digest.update(_encode(getattr(target, name)))
+    yield digest.digest()
+    digest = hashlib.sha256()
+    memory.hash_into(digest)
+    yield digest.digest()
+
+
+def state_digest(
+    registry: StateRegistry, memory: "SparseMemory"
+) -> tuple[bytes, ...]:
+    """The full digest of one machine: every part of :func:`digest_parts`."""
+    return tuple(digest_parts(registry, memory))
+
+
+def digest_matches(
+    registry: StateRegistry, memory: "SparseMemory", expected: tuple[bytes, ...]
+) -> bool:
+    """Does this machine's digest equal ``expected``? Stops at the first
+    differing part."""
+    return all(
+        part == want
+        for part, want in zip(digest_parts(registry, memory), expected)
+    )

@@ -49,6 +49,16 @@ class TestEventSchema:
         with pytest.raises(TelemetryError, match="must be an integer"):
             validate_event(event)
 
+    def test_trial_end_carries_uarch_cost_fields(self):
+        event = make_event("trial_end", cycle=400, position=90, status="ok",
+                           sim_cycles=150, reconverged_cycle=550)
+        validate_event(event)
+        del event["reconverged_cycle"]  # absent when the window ran out
+        validate_event(event)
+        event["sim_cycles"] = "150"
+        with pytest.raises(TelemetryError, match="must be an integer"):
+            validate_event(event)
+
     def test_non_object_rejected(self):
         with pytest.raises(TelemetryError, match="not a JSON object"):
             validate_event([1, 2, 3])
