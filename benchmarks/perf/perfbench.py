@@ -16,6 +16,12 @@ machine-independent ratios
   serial per-trial path, golden-run time excluded via a shared
   golden-artifact cache (both legs run warm)
 
+and, independent of the machine because it is an exact count,
+
+- ``uarch_early_exit_speedup`` — uarch trial cycles simulated by the
+  full-window reference over those simulated with early exit on
+  re-convergence, for the same trials
+
 Results are written as schema'd JSON (see ``SCHEMA``). Usage::
 
     PYTHONPATH=src python benchmarks/perf/perfbench.py --scale smoke \
@@ -36,6 +42,7 @@ import platform
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 if os.path.isdir(os.path.join(_REPO_ROOT, "src")):
@@ -44,7 +51,8 @@ if os.path.isdir(os.path.join(_REPO_ROOT, "src")):
 from repro import __version__  # noqa: E402
 from repro.arch.simulator import ArchSimulator, load_program  # noqa: E402
 from repro.campaign import run_campaign  # noqa: E402
-from repro.faults import ArchCampaignConfig  # noqa: E402
+from repro.faults import ArchCampaignConfig, UarchCampaignConfig  # noqa: E402
+from repro.faults import uarch_campaign  # noqa: E402
 from repro.uarch.pipeline import Pipeline, load_pipeline  # noqa: E402
 from repro.workloads import build_workload  # noqa: E402
 
@@ -63,6 +71,8 @@ SCALES = {
         "lockstep_campaign": {"trials_per_workload": 60,
                               "injection_points": 10,
                               "workloads": ("gzip", "mcf", "parser")},
+        "uarch_campaign": {"trials_per_workload": 6, "injection_points": 6,
+                           "workloads": ("gcc", "mcf")},
     },
     "full": {
         "min_seconds": 2.0,
@@ -74,6 +84,8 @@ SCALES = {
         "lockstep_campaign": {"trials_per_workload": 120,
                               "injection_points": 20,
                               "workloads": ("gzip", "mcf", "parser")},
+        "uarch_campaign": {"trials_per_workload": 12, "injection_points": 6,
+                           "workloads": ("bzip2", "gcc", "gzip", "mcf")},
     },
 }
 
@@ -160,6 +172,39 @@ def _bench_lockstep_speedup(campaign_cfg: dict):
     return lock_rate, serial_rate, trials
 
 
+def _bench_early_exit(campaign_cfg: dict):
+    """(full-window cycles, early-exit cycles, trials) of a uarch campaign.
+
+    Every trial also runs as its full-window reference: the same
+    ``_run_trial`` with golden's digest map emptied, so it never stops
+    early. Both legs report the cycles they simulated.
+    """
+    config = UarchCampaignConfig(seed=SEED, **campaign_cfg)
+    real = uarch_campaign._run_trial
+    cycles = {"early": 0, "full": 0}
+
+    def both(workload, prefix, golden, config, point, field_index, bit,
+             trace=None):
+        early, full = {}, {}
+        result = real(workload, prefix, golden, config, point, field_index,
+                      bit, early)
+        real(workload, prefix, replace(golden, digests={}), config, point,
+             field_index, bit, full)
+        cycles["early"] += early["sim_cycles"]
+        cycles["full"] += full["sim_cycles"]
+        return result
+
+    uarch_campaign._run_trial = both
+    try:
+        trials = sum(
+            len(uarch_campaign.run_workload_trials(config, workload).outcomes)
+            for workload in config.workloads
+        )
+    finally:
+        uarch_campaign._run_trial = real
+    return cycles["full"], cycles["early"], trials
+
+
 def _supports_reference_paths() -> bool:
     """Do the simulators expose their unoptimised reference paths?"""
     try:
@@ -210,6 +255,19 @@ def run_benchmarks(scale: str, with_reference: bool = True) -> dict:
             "serial_trials_per_sec": round(serial_rate, 2),
             "trials": lock_trials,
             **knobs["lockstep_campaign"],
+        },
+    }
+
+    full_cycles, early_cycles, early_trials = _bench_early_exit(
+        knobs["uarch_campaign"]
+    )
+    metrics["uarch_early_exit_speedup"] = {
+        "value": round(full_cycles / early_cycles, 2), "unit": "x",
+        "details": {
+            "full_window_cycles": full_cycles,
+            "early_exit_cycles": early_cycles,
+            "trials": early_trials,
+            **knobs["uarch_campaign"],
         },
     }
 

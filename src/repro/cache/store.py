@@ -2,11 +2,15 @@
 
 Every campaign shard, service worker, and resumed run needs the same
 expensive preamble before it can inject a single fault: run the workload
-fault-free (the *golden* run), derive the comparator indices, and walk a
-prefix simulator to the first injection point. None of that work depends
-on which process performs it — it is a pure function of the program
-bytes and the scientific configuration — so this module memoizes it on
-disk, once per ``(program, config)`` across an entire worker fleet.
+fault-free (the *golden* run) and keep what its trials compare against.
+At the arch level that is the golden trace with its snapshots and
+comparator prefix counts. At the uarch level it is the retired stream,
+the final state, state digests, symptoms, detector events and compressed
+state checkpoints, from which a short walk reaches each trial prefix and
+trial end, on a hit exactly as after a fresh golden run. None of that
+work depends on which process performs it — it is a pure function of the
+program bytes and the scientific configuration — so this module memoizes
+it on disk, once per ``(program, config)`` across an entire worker fleet.
 
 Keying
 ------
@@ -62,7 +66,7 @@ if TYPE_CHECKING:
 #: Bumped whenever the pickled artifact layout changes; part of the key,
 #: so old entries become unreachable (and reclaimable via ``cache clear``)
 #: rather than misread.
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 class CacheCorruptionWarning(UserWarning):
@@ -95,23 +99,30 @@ class ArchGoldenArtifact:
 
 @dataclass(frozen=True)
 class UarchGoldenArtifact:
-    """Everything a uarch-campaign workload takes from its golden run: the
-    retired stream, registry snapshots and retired counts at trial-end
-    cycles, and the final architectural state. Schema v3 adds what early
-    exit splices in: state digests at check boundaries (cycle -> digest
-    parts), golden's symptom list, and the ``(cycle, retired, kind,
-    payload)`` handler calls the configured detectors watch; v2 entries
-    miss cleanly."""
+    """Everything a uarch-campaign workload takes from its one golden run:
+    its length, the retired stream, the final architectural state, state
+    digests at every check boundary (cycle -> digest parts), golden's
+    symptom list, the ``(cycle, retired, kind, payload)`` handler calls
+    the configured detectors watch, and compressed state checkpoints
+    (cycle -> :meth:`~repro.uarch.pipeline.Pipeline.checkpoint` bytes).
+
+    ``snapshots`` and ``retired_at`` hold the registry snapshot and
+    retired count at each trial-end cycle. They depend on the injection
+    points, which are drawn from the run's length after the pass, so the
+    golden pass (and hence a cache entry) leaves them empty and the walks
+    from the checkpoints fill them in for each run. Schema v4 replaced the
+    snapshots with the checkpoints; v3 and older entries miss cleanly."""
 
     end_cycle: int
     retired: list
-    snapshots: dict[int, list[int]]
-    retired_at: dict[int, int]
     final_arch_regs: list[int]
     final_memory: "SparseMemory"
     digests: dict[int, tuple[bytes, ...]]
     symptoms: list
     detector_events: list[tuple]
+    checkpoints: dict[int, bytes]
+    snapshots: dict[int, list[int]] = field(default_factory=dict)
+    retired_at: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass

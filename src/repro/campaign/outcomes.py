@@ -166,3 +166,7 @@ class WorkloadRunOutcome:
     planner_points: tuple[int, ...] | None = None
     prescreened_points: tuple[int, ...] | None = None
     planner_summary: dict | None = None
+    # Trace-only figures of the workload's golden run (uarch: its length,
+    # checkpoint count and the cycles simulated to reach prefixes and
+    # trial ends). Never journaled and not part of equality.
+    trace: dict | None = field(default=None, compare=False)

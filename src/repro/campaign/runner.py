@@ -333,8 +333,14 @@ def _replayed_summary(planner, config, outcome: WorkloadRunOutcome) -> dict:
     )
 
 
-def _emit_convergence_events(trace, outcome: WorkloadRunOutcome) -> None:
-    """One ``point_converged`` event per stopped injection point."""
+def _emit_workload_events(trace, outcome: WorkloadRunOutcome) -> None:
+    """A uarch workload's ``golden`` event, then one ``point_converged``
+    event per stopped injection point."""
+    if outcome.trace is not None:
+        trace.emit({
+            "kind": "golden", "cycle": 0, "position": 0,
+            "workload": outcome.workload, **outcome.trace,
+        })
     summary = outcome.planner_summary
     if summary is None:
         return
@@ -565,7 +571,7 @@ def run_campaign(
                 workload_outcome.outcomes = prior + workload_outcome.outcomes
                 by_workload[name] = workload_outcome
                 if trace is not None:
-                    _emit_convergence_events(trace, workload_outcome)
+                    _emit_workload_events(trace, workload_outcome)
                 if writer is not None:
                     writer.write(_workload_sentinel(workload_outcome))
         else:
@@ -590,7 +596,7 @@ def run_campaign(
                 workload_outcome.outcomes = prior + workload_outcome.outcomes
                 by_workload[name] = workload_outcome
                 if trace is not None:
-                    _emit_convergence_events(trace, workload_outcome)
+                    _emit_workload_events(trace, workload_outcome)
                 if writer is not None:
                     writer.write(_workload_sentinel(workload_outcome))
 

@@ -2,14 +2,15 @@
 
 Methodology, following Section 4:
 
-1. Pre-select injection cycles ("the fault injections were performed on a
-   set of about 250-300 points for each experiment") spread over the
-   workload's fault-free run.
-2. Run each workload's pipeline once fault-free (the golden capture
-   pass), collecting the golden retired stream and symptoms, full-state
-   snapshots at the trial-end cycles, state digests at every check
-   boundary inside a trial window, and the final architectural state, and
-   forking the pipeline at each injection point.
+1. Run each workload's pipeline once fault-free (the golden pass),
+   collecting the golden retired stream and symptoms, state digests at
+   every check boundary, compressed state checkpoints and the final
+   architectural state.
+2. Select injection cycles ("the fault injections were performed on a
+   set of about 250-300 points for each experiment") spread over that
+   run. Short walks from golden's checkpoints reach the pipeline state at
+   each injection point and take full-state snapshots at the trial-end
+   cycles.
 3. Each trial flips one uniformly-chosen state bit in a fork (caches and
    predictor tables excluded, as in the paper) and monitors the machine for
    a window of cycles (the paper used 10,000; default scaled down), with
@@ -38,8 +39,9 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Iterator
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from operator import attrgetter, itemgetter
 
 from repro.cache import GoldenArtifactCache, UarchGoldenArtifact
@@ -70,10 +72,16 @@ from repro.workloads import WORKLOAD_NAMES, build_workload
 FIGURE46_INTERVALS: tuple[int, ...] = (25, 50, 100, 200, 500, 1000, 2000)
 
 #: Cycles between re-convergence checks. Golden records a state digest at
-#: every absolute multiple of this period that lies inside a trial window,
-#: and a trial compares its own digest there. Chosen by a measured sweep
-#: (DESIGN.md, "Early exit on re-convergence").
+#: every absolute multiple of this period, and a trial compares its own
+#: digest there. Chosen by a measured sweep (DESIGN.md, "Early exit on
+#: re-convergence").
 CHECK_PERIOD = 50
+
+#: Cycles between golden's compressed state checkpoints, a multiple of
+#: CHECK_PERIOD. A trial prefix or trial end is reached by restoring the
+#: latest checkpoint at or before it and walking at most this far. Chosen
+#: by a measured sweep (DESIGN.md, "One golden pass").
+CHECKPOINT_PERIOD = 250
 
 
 @dataclass(frozen=True)
@@ -326,11 +334,14 @@ def run_workload_trials(
     ``shard=(shard_index, shard_count)`` restricts execution to the
     stride slice ``index % shard_count == shard_index`` of the per-point
     trial index space (the union of all shards is exactly the serial
-    campaign). With a :class:`~repro.cache.GoldenArtifactCache`, both
-    golden pipeline runs (length probe + capture pass) are replaced by one
-    cache load and a walk to the last injection point that only forks;
-    injection cycles are recomputed deterministically from the cached end
-    cycle, so cached and uncached runs are bit-identical.
+    campaign). Golden runs once (:func:`_run_golden`); the injection
+    points are then drawn from its length, and the trial prefixes and
+    trial-end state are reached from its checkpoints (:func:`_hop`). With
+    a :class:`~repro.cache.GoldenArtifactCache`, a hit replaces the golden
+    pass with one cache load and takes the same hop path, so cached and
+    uncached runs are bit-identical. ``trace`` on the result carries the
+    golden run's length, its checkpoint count and the cycles the hops
+    simulated.
     """
     guard = guard or TrialGuard()
     validate_shard(shard)
@@ -345,23 +356,35 @@ def run_workload_trials(
         )
         if golden is not None:
             golden_cache = "hit"
-            end_cycle = golden.end_cycle
         else:
-            # Injection cycles spread uniformly over the run, so golden's
-            # length must be known before the capture pass.
-            end_cycle = _run_golden(bundle, config)[0].end_cycle
+            golden = _run_golden(bundle, config)
+            if cache is not None:
+                cache.store("uarch", bundle.program, config, golden)
+                golden_cache = "miss"
+        # Injection cycles spread uniformly over golden's run.
+        end_cycle = golden.end_cycle
         first = min(config.warmup_cycles, max(1, end_cycle // 10))
         last = max(first + 1, end_cycle - 100)
         point_count = min(config.injection_points, last - first)
         points = sorted(wrng.child("points").sample(range(first, last), point_count))
-        if golden is None:
-            golden, prefixes = _run_golden(bundle, config, points)
-            if cache is not None:
-                cache.store("uarch", bundle.program, config, golden)
-                golden_cache = "miss"
-        else:
-            prefixes = _fork_at(_load(bundle, config), points)
-        total_bits = prefixes[points[0]].registry.total_bits()
+        golden_trace = {
+            "golden_cycles": end_cycle,
+            "checkpoints": len(golden.checkpoints),
+            "hop_cycles": 0,
+        }
+        snapshots: dict[int, list[int]] = {}
+        retired_at: dict[int, int] = {}
+        ends = {point + config.window_cycles for point in points}
+        for machine in _hop(golden, ends, golden_trace):
+            snapshots[machine.cycle_count] = machine.registry.snapshot()
+            retired_at[machine.cycle_count] = machine.retired_count
+        golden = replace(golden, snapshots=snapshots, retired_at=retired_at)
+        # Prefixes are reached one at a time, as the trials need them; the
+        # first restore happens here, so a checkpoint that cannot load
+        # skips the workload like a failing golden run.
+        prefixes = _hop(golden, points, golden_trace)
+        first = next(prefixes)
+        total_bits = first.registry.total_bits()
     except Exception as exc:
         reason = f"{type(exc).__name__}: {exc}"
         warnings.warn(
@@ -375,11 +398,11 @@ def run_workload_trials(
     # ``extra`` points (in sorted order) take one more than the rest.
     base_trials, extra = divmod(config.trials_per_workload, point_count)
     outcomes: list[TrialOutcome] = []
-    for position, point in enumerate(points):
+    # zip stops early if golden halted before a point.
+    for position, (point, prefix) in enumerate(
+        zip(points, chain([first], prefixes))
+    ):
         per_point = base_trials + (1 if position < extra else 0)
-        prefix = prefixes.get(point)
-        if prefix is None:  # golden halted before this point
-            break
         for index in range(per_point):
             if shard is not None and index % shard[1] != shard[0]:
                 continue
@@ -411,7 +434,8 @@ def run_workload_trials(
             if on_outcome is not None:
                 on_outcome(outcome)
     return WorkloadRunOutcome(
-        workload, outcomes, total_bits=total_bits, golden_cache=golden_cache
+        workload, outcomes, total_bits=total_bits, golden_cache=golden_cache,
+        trace=golden_trace,
     )
 
 
@@ -427,60 +451,28 @@ def _load(
     )
 
 
-def _fork_at(
-    pipeline: Pipeline,
-    points: Collection[int],
-    stops: Collection[int] = (),
-    on_stop: Callable[[int], None] | None = None,
-) -> dict[int, Pipeline]:
-    """Run ``pipeline`` forward through the injection ``points`` and the
-    extra ``stops`` in cycle order, forking it at each point (the trial
-    prefixes) and calling ``on_stop(cycle)`` at each stop. The walk ends
-    at the last stop, or earlier if the pipeline halts."""
-    forks: dict[int, Pipeline] = {}
-    points = set(points)
-    for cycle in sorted(points | set(stops)):
-        pipeline.run(cycle - pipeline.cycle_count)
-        if not pipeline.running:
-            break
-        if cycle in points:
-            forks[cycle] = pipeline.fork()
-        if on_stop is not None:
-            on_stop(cycle)
-    return forks
-
-
 def _next_check(cycle: int) -> int:
     """The first check boundary strictly after ``cycle``."""
     return (cycle // CHECK_PERIOD + 1) * CHECK_PERIOD
 
 
-def _run_golden(
-    bundle, config: UarchCampaignConfig, points: Collection[int] = ()
-) -> tuple[UarchGoldenArtifact, dict[int, Pipeline]]:
-    """Run the workload fault-free; returns golden's artifacts and the
-    trial prefixes.
+def _run_golden(bundle, config: UarchCampaignConfig) -> UarchGoldenArtifact:
+    """Run the workload fault-free once, to halt.
 
-    With no ``points`` this is the length probe. With injection points it
-    is the capture pass: the same walk forks the pipeline at each point,
-    records a state digest at every check boundary strictly inside a trial
-    window and a registry snapshot at each trial-end cycle, and, when
-    detectors are configured, records every handler call they would see
-    through a handler that returns False, which leaves the run unchanged.
+    Injection points are drawn from the run's length, so this pass records
+    everything that does not depend on them: the retired stream, symptoms
+    and final state, a state digest at every check boundary, a compressed
+    state checkpoint at cycle 0 and every ``CHECKPOINT_PERIOD`` cycles
+    (from which :func:`_hop` reaches the trial prefixes and trial ends)
+    and, when detectors are configured, every handler call they would see,
+    recorded through a handler that returns False, which leaves the run
+    unchanged.
     """
     pipeline = _load(bundle, config, collect_retired=True)
-    window = config.window_cycles
-    checks = {
-        cycle
-        for point in points
-        for cycle in range(_next_check(point), point + window, CHECK_PERIOD)
-    }
-    ends = {point + window for point in points}
     digests: dict[int, tuple[bytes, ...]] = {}
-    snapshots: dict[int, list[int]] = {}
-    retired_at: dict[int, int] = {}
+    checkpoints: dict[int, bytes] = {}
     detector_events: list[tuple] = []
-    if points and config.detectors:
+    if config.detectors:
         watched = {
             kind
             for detector in build_memhier_detectors(config.detectors)
@@ -496,32 +488,57 @@ def _run_golden(
 
         pipeline.symptom_handler = record
 
-    def capture(cycle: int) -> None:
-        if cycle in checks:
-            digests[cycle] = state_digest(pipeline.registry, pipeline.memory)
-        if cycle in ends:
-            snapshots[cycle] = pipeline.registry.snapshot()
-            retired_at[cycle] = pipeline.retired_count
-
-    prefixes = _fork_at(pipeline, points, checks | ends, capture)
-    pipeline.run(config.max_golden_cycles - pipeline.cycle_count)
+    limit = config.max_golden_cycles
+    for cycle in range(0, limit, CHECK_PERIOD):
+        pipeline.run(cycle - pipeline.cycle_count)
+        if not pipeline.running:
+            break
+        digests[cycle] = state_digest(pipeline.registry, pipeline.memory)
+        if cycle % CHECKPOINT_PERIOD == 0:
+            checkpoints[cycle] = pipeline.checkpoint()
+    pipeline.run(limit - pipeline.cycle_count)
     if not pipeline.halted:
         raise RuntimeError(
             f"golden pipeline run of {bundle.name} did not halt "
             f"(exception={pipeline.exception_name()})"
         )
-    golden = UarchGoldenArtifact(
+    return UarchGoldenArtifact(
         end_cycle=pipeline.cycle_count,
         retired=pipeline.retired_log,
-        snapshots=snapshots,
-        retired_at=retired_at,
         final_arch_regs=pipeline.arch_reg_values(),
         final_memory=pipeline.memory,
         digests=digests,
         symptoms=pipeline.symptoms,
         detector_events=detector_events,
+        checkpoints=checkpoints,
     )
-    return golden, prefixes
+
+
+def _hop(
+    golden: UarchGoldenArtifact, targets: Collection[int], trace: dict
+) -> Iterator[Pipeline]:
+    """Golden's machine at each target cycle before its halt, in order.
+
+    A target is reached from golden's latest checkpoint at or before it:
+    the pipeline restored from that checkpoint walks to the target, and on
+    to the following targets until one of them has a later checkpoint, so
+    no walk is longer than the checkpoint period. The pipeline is
+    deterministic and its state is exactly the description, so each walk
+    retraces golden's run. The yielded pipeline walks on afterwards: fork
+    it to keep its state. The cycles walked are added to
+    ``trace["hop_cycles"]``.
+    """
+    starts = sorted(golden.checkpoints)
+    pipeline = None
+    for target in sorted(targets):
+        if target >= golden.end_cycle:  # golden has halted
+            return
+        start = starts[bisect_right(starts, target) - 1]
+        if pipeline is None or pipeline.cycle_count < start:
+            pipeline = Pipeline.restore(golden.checkpoints[start])
+        trace["hop_cycles"] += target - pipeline.cycle_count
+        pipeline.run(target - pipeline.cycle_count)
+        yield pipeline
 
 
 def _latent_is_arch_relevant(faulty: Pipeline, diff_indices: list[int]) -> bool:

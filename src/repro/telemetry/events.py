@@ -32,6 +32,10 @@ EVENT_KINDS: dict[str, tuple[str, ...]] = {
     "trial_begin": ("workload", "point", "index"),
     "injection": ("target", "bit"),
     "trial_end": ("status",),
+    # One per uarch workload that ran, after its trials: golden's length,
+    # its state checkpoints, and the cycles simulated from them to reach
+    # the trial prefixes and trial ends.
+    "golden": ("workload", "golden_cycles", "checkpoints", "hop_cycles"),
     # Adaptive-planner convergence: one per stopped injection point.
     # ``margin`` is a float (the point's Wilson half-width at stop time),
     # deliberately absent from the integer-field list.
@@ -69,6 +73,9 @@ _INT_FIELDS = frozenset(
         "checkpoint_position",
         "sim_cycles",
         "reconverged_cycle",
+        "golden_cycles",
+        "checkpoints",
+        "hop_cycles",
     }
 )
 

@@ -36,9 +36,11 @@ Predictor tables are always shadow state ("corrupt predictor table entries
 cannot lead to failure"), and so are TLBs — their FIFO page list has no
 fixed latch encoding.
 
-:func:`state_digest` hashes the whole description (banks, shadow state and
-the memory image) so that two machines can be compared for equality
-without keeping either one.
+:meth:`StateRegistry.state` and :meth:`StateRegistry.load_state` are the
+one walk over the whole description that a fork's copy and a checkpoint's
+save and restore share. :func:`state_digest` hashes the whole description
+(banks, shadow state and the memory image) so that two machines can be
+compared for equality without keeping either one.
 """
 
 from __future__ import annotations
@@ -242,6 +244,42 @@ class StateRegistry:
             bank.storage[:] = [value & mask for value in snapshot[bank.start:end]]
             if bank.on_set is not None:
                 bank.on_set()
+
+    # -------------------------------------------------------- whole state
+
+    def state(self) -> list:
+        """The whole description's values, by reference: every bank's
+        storage, then every shadow attribute, in declaration order. What
+        a fork copies and a checkpoint stores."""
+        values: list = [bank.storage for bank in self.banks]
+        for owner, names in self.shadows:
+            target = owner()
+            values += [getattr(target, name) for name in names]
+        return values
+
+    def load_state(self, values: list) -> None:
+        """Copy :meth:`state` values of a machine built with the same
+        options into this one: banks and shadow lists in place (firing
+        each bank's ``on_set``), the event wheel one level deep, anything
+        else by reference (it is immutable)."""
+        if len(values) != len(self.banks) + sum(
+            len(names) for _, names in self.shadows
+        ):
+            raise ValueError("state does not fit this description")
+        values = iter(values)
+        for bank, value in zip(self.banks, values):
+            bank.storage[:] = value
+            if bank.on_set is not None:
+                bank.on_set()
+        for owner, names in self.shadows:
+            target = owner()
+            for name, value in zip(names, values):
+                if type(value) is list:
+                    getattr(target, name)[:] = value
+                    continue
+                if type(value) is dict:  # the event wheel: cycle -> [tuple]
+                    value = {key: list(items) for key, items in value.items()}
+                setattr(target, name, value)
 
     def diff_indices(self, a: list[int], b: list[int]) -> list[int]:
         """Indices of fields whose values differ between two snapshots."""

@@ -18,6 +18,8 @@ exactly the window in which that state is live.
 
 from __future__ import annotations
 
+import pickle
+import zlib
 from dataclasses import dataclass
 
 from repro.arch.exceptions import AccessViolation
@@ -1380,42 +1382,59 @@ class Pipeline:
     def fork(self) -> "Pipeline":
         """An independent deep copy of the full machine state.
 
-        Fault campaigns run one golden pipeline forward and fork it at each
-        injection point, so a trial only pays for the post-injection window
-        instead of a whole run from reset. A fork is a fresh pipeline built
-        with the same options, one copy over the machine-state description
-        (every bank and shadow attribute of the registry, see
+        Fault campaigns fork golden's state at each injection point, so a
+        trial only pays for the post-injection window instead of a whole
+        run from reset. A fork is a fresh pipeline built with the same
+        options, one copy over the machine-state description (every bank
+        and shadow attribute of the registry, see
         :mod:`repro.uarch.latches`) and a clone of the memory image; the
         pure decode cache is shared.
         """
-        copy = Pipeline(
-            self.memory.clone(),
-            self._fetch_pc[0],
-            config=self.config,
-            collect_retired=False,
-            record_cache_symptoms=self.record_cache_symptoms,
-            fast=self.fast,
-            memhier_targets=self.memhier_targets,
-            record_memhier_symptoms=self.record_memhier_symptoms,
+        copy = Pipeline._from_state(
+            self.memory.clone(), self._options(), self.registry.state()
         )
-        for source, target in zip(self.registry.banks, copy.registry.banks):
-            target.storage[:] = source.storage
-            if target.on_set is not None:
-                target.on_set()
-        for (source, names), (target, _) in zip(
-            self.registry.shadows, copy.registry.shadows
-        ):
-            source, target = source(), target()
-            for name in names:
-                value = getattr(source, name)
-                if type(value) is list:
-                    getattr(target, name)[:] = value
-                    continue
-                if type(value) is dict:  # the event wheel: cycle -> [tuple]
-                    value = {key: list(items) for key, items in value.items()}
-                setattr(target, name, value)
         copy._decode_cache = self._decode_cache
         return copy
+
+    def checkpoint(self) -> bytes:
+        """The full machine state as compact bytes: the build options, the
+        values of the state description and the memory image (pages, their
+        protection and ``image_version``), pickled and zlib-compressed at
+        level 1: 4-6 KB for the seven kernels, against about 125 KB
+        uncompressed, as the image is mostly zero pages.
+        :meth:`restore` turns it back into a pipeline; the description walk
+        is the one :meth:`fork` copies over."""
+        return zlib.compress(pickle.dumps(
+            (self.memory, self._options(), self.registry.state()),
+            protocol=pickle.HIGHEST_PROTOCOL,
+        ), 1)
+
+    @classmethod
+    def restore(cls, checkpoint: bytes) -> "Pipeline":
+        """A fresh pipeline in the state a :meth:`checkpoint` recorded. It
+        collects no retired stream and has no hooks installed, like a
+        fork."""
+        return cls._from_state(*pickle.loads(zlib.decompress(checkpoint)))
+
+    def _options(self) -> dict:
+        """The build options a copy of this pipeline is made with."""
+        return {
+            "config": self.config,
+            "record_cache_symptoms": self.record_cache_symptoms,
+            "fast": self.fast,
+            "memhier_targets": self.memhier_targets,
+            "record_memhier_symptoms": self.record_memhier_symptoms,
+        }
+
+    @classmethod
+    def _from_state(
+        cls, memory: SparseMemory, options: dict, state: list
+    ) -> "Pipeline":
+        """A fresh shell over ``memory`` loaded with ``state`` (the fetch
+        pc, a bank, comes with it)."""
+        pipeline = cls(memory, 0, **options)
+        pipeline.registry.load_state(state)
+        return pipeline
 
     # -------------------------------------------------- architectural views
 

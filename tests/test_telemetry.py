@@ -59,6 +59,19 @@ class TestEventSchema:
         with pytest.raises(TelemetryError, match="must be an integer"):
             validate_event(event)
 
+    def test_golden_event_carries_int_counts(self):
+        event = make_event("golden", cycle=0, position=0, workload="gcc",
+                           golden_cycles=7545, checkpoints=31, hop_cycles=1480)
+        validate_event(event)
+        for name in ("golden_cycles", "checkpoints", "hop_cycles"):
+            bad = dict(event, **{name: 1.5})
+            with pytest.raises(TelemetryError, match="must be an integer"):
+                validate_event(bad)
+            missing = dict(event)
+            del missing[name]
+            with pytest.raises(TelemetryError, match="missing field"):
+                validate_event(missing)
+
     def test_non_object_rejected(self):
         with pytest.raises(TelemetryError, match="not a JSON object"):
             validate_event([1, 2, 3])

@@ -92,13 +92,13 @@ def test_cache_hit_matches_miss(tmp_path, differential):
     assert differential.reconverged > 0
 
 
-def test_v2_cache_entry_is_a_clean_miss(tmp_path, monkeypatch):
+def _assert_old_entry_is_a_clean_miss(tmp_path, monkeypatch, schema):
     config = UarchCampaignConfig(seed=77, workloads=("gcc",), **DEFAULT)
     bundle = build_workload("gcc", 1, config.seed)
-    golden, _ = uarch_campaign._run_golden(bundle, config)
+    golden = uarch_campaign._run_golden(bundle, config)
     cache = GoldenArtifactCache(str(tmp_path))
-    # An entry as a v2 tool wrote it: the schema is part of its file name.
-    monkeypatch.setattr(store, "SCHEMA_VERSION", 2)
+    # An entry as an older tool wrote it: the schema is part of its name.
+    monkeypatch.setattr(store, "SCHEMA_VERSION", schema)
     assert cache.store("uarch", bundle.program, config, golden)
     monkeypatch.undo()
     with warnings.catch_warnings():
@@ -106,7 +106,15 @@ def test_v2_cache_entry_is_a_clean_miss(tmp_path, monkeypatch):
         assert cache.load("uarch", bundle.program, config) is None
         outcome = uarch_campaign.run_workload_trials(config, "gcc", cache=cache)
     assert outcome.golden_cache == "miss"
-    assert cache.load("uarch", bundle.program, config).digests
+    assert cache.load("uarch", bundle.program, config).checkpoints
+
+
+def test_v2_cache_entry_is_a_clean_miss(tmp_path, monkeypatch):
+    _assert_old_entry_is_a_clean_miss(tmp_path, monkeypatch, 2)
+
+
+def test_v3_cache_entry_is_a_clean_miss(tmp_path, monkeypatch):
+    _assert_old_entry_is_a_clean_miss(tmp_path, monkeypatch, 3)
 
 
 # ------------------------------------------------------------------ digest
@@ -194,7 +202,7 @@ _GOLDEN_DIGESTS = """
 from repro.faults.uarch_campaign import UarchCampaignConfig, _run_golden
 from repro.workloads import build_workload
 config = UarchCampaignConfig(seed=5, workloads=("mcf",))
-golden, _ = _run_golden(build_workload("mcf", 1, 5), config, [300, 900])
+golden = _run_golden(build_workload("mcf", 1, 5), config)
 for cycle, parts in sorted(golden.digests.items()):
     print(cycle, b"".join(parts).hex())
 """

@@ -1,5 +1,6 @@
 """The machine-state description: pinned journals, latent-residue
-relevance, completeness of the description and fork equivalence."""
+relevance, completeness of the description, and fork and checkpoint
+equivalence."""
 
 import hashlib
 
@@ -9,7 +10,8 @@ from repro.campaign import run_campaign
 from repro.faults import UarchCampaignConfig
 from repro.faults.uarch_campaign import _latent_is_arch_relevant
 from repro.uarch import load_pipeline
-from repro.uarch.latches import LATCH_CLASSES
+from repro.uarch.latches import LATCH_CLASSES, state_digest
+from repro.uarch.pipeline import Pipeline
 from repro.util.rng import DeterministicRng
 from repro.workloads import WORKLOAD_NAMES
 
@@ -235,3 +237,23 @@ class TestStateDescription:
         assert fork.cycle_count == parent.cycle_count == 2_000
         assert _described_state(fork) == _described_state(parent)
         assert fork.memory.equals(parent.memory)
+
+    def test_restored_checkpoint_matches_after_more_cycles(
+        self, bundles, name, memhier_targets
+    ):
+        original = load_pipeline(
+            bundles[name].program, memhier_targets=memhier_targets
+        )
+        original.run(1_200)
+        restored = Pipeline.restore(original.checkpoint())
+        assert state_digest(restored.registry, restored.memory) == (
+            state_digest(original.registry, original.memory)
+        )
+        original.run(800)
+        restored.run(800)
+        assert restored.cycle_count == original.cycle_count == 2_000
+        assert _described_state(restored) == _described_state(original)
+        assert restored.memory.equals(original.memory)
+        assert state_digest(restored.registry, restored.memory) == (
+            state_digest(original.registry, original.memory)
+        )
