@@ -186,9 +186,6 @@ class _JournalState:
     outcomes: dict[str, list[TrialOutcome]] = field(default_factory=dict)
     done_workloads: dict[str, dict] = field(default_factory=dict)
 
-    def completed_keys(self, workload: str) -> set[str]:
-        return {o.key for o in self.outcomes.get(workload, ())}
-
 
 def _manifest(level: str, config, planner=None) -> dict:
     config_dict = config_to_dict(config)
@@ -356,31 +353,55 @@ def _emit_workload_events(trace, outcome: WorkloadRunOutcome) -> None:
         })
 
 
+def _run_workload(
+    level: str,
+    config,
+    workload: str,
+    *,
+    lockstep: bool = True,
+    planner=None,
+    planner_round: int | None = None,
+    allocation=None,
+    **options,
+) -> WorkloadRunOutcome:
+    """Run one workload through its level's driver.
+
+    ``options`` (``prior``, ``guard``, ``on_outcome``, ``shard``,
+    ``cache``) go to both levels; ``lockstep`` only to arch, and the
+    planner settings only when the run is adaptive.
+    """
+    if level == "arch":
+        options["lockstep"] = lockstep
+    if planner is not None:
+        options.update(
+            planner=planner, planner_round=planner_round,
+            allocation=allocation,
+        )
+    return _campaign_module(level).run_workload_trials(
+        config, workload, **options
+    )
+
+
 def _workload_task(
     level: str,
     config,
     workload: str,
-    completed: frozenset[str],
+    prior: tuple[TrialOutcome, ...],
     trial_timeout: float | None,
     cache_dir: str | None = None,
     lockstep: bool = True,
     planner=None,
-    prior: tuple[TrialOutcome, ...] = (),
 ) -> WorkloadRunOutcome:
     """One process-pool work unit: run a whole workload under containment."""
-    module = _campaign_module(level)
-    guard = TrialGuard(timeout=trial_timeout)
     cache = None
     if cache_dir is not None:
         from repro.cache import GoldenArtifactCache
 
         cache = GoldenArtifactCache(cache_dir)
-    extra = {"lockstep": lockstep} if level == "arch" else {}
-    if planner is not None:
-        extra.update(planner=planner, prior=prior)
-    return module.run_workload_trials(
-        config, workload, completed=completed, guard=guard, cache=cache,
-        **extra,
+    return _run_workload(
+        level, config, workload, prior=prior,
+        guard=TrialGuard(timeout=trial_timeout), cache=cache,
+        lockstep=lockstep, planner=planner,
     )
 
 
@@ -463,7 +484,7 @@ def run_campaign(
     journal; uniform parallel runs keep their stream-on-completion
     behaviour.
     """
-    module = _campaign_module(level)
+    _campaign_module(level)  # an unknown level fails before any work
     if planner is not None and level != "arch":
         raise ValueError(
             "adaptive planning is only supported for arch campaigns "
@@ -553,19 +574,10 @@ def run_campaign(
                             writer.write(o.to_entry())
                         if trace is not None:
                             _emit_trial_events(trace, _level, o)
-                extra = (
-                    {"lockstep": policy.lockstep} if level == "arch" else {}
-                )
-                if planner is not None:
-                    extra.update(planner=planner, prior=tuple(prior))
-                workload_outcome = module.run_workload_trials(
-                    config,
-                    name,
-                    completed=frozenset(o.key for o in prior),
-                    guard=guard,
-                    on_outcome=on_outcome,
-                    cache=cache,
-                    **extra,
+                workload_outcome = _run_workload(
+                    level, config, name, prior=tuple(prior), guard=guard,
+                    on_outcome=on_outcome, cache=cache,
+                    lockstep=policy.lockstep, planner=planner,
                 )
                 executed += len(workload_outcome.outcomes)
                 workload_outcome.outcomes = prior + workload_outcome.outcomes
@@ -575,9 +587,6 @@ def run_campaign(
                 if writer is not None:
                     writer.write(_workload_sentinel(workload_outcome))
         else:
-            completed_keys = {
-                name: frozenset(state.completed_keys(name)) for name in pending
-            }
             priors = {
                 name: tuple(state.outcomes.get(name, ())) for name in pending
             }
@@ -620,16 +629,8 @@ def run_campaign(
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 futures = {
                     pool.submit(
-                        _workload_task,
-                        level,
-                        config,
-                        name,
-                        completed_keys[name],
-                        trial_timeout,
-                        cache_dir,
-                        policy.lockstep,
-                        *((planner, priors[name])
-                          if planner is not None else ()),
+                        _workload_task, level, config, name, priors[name],
+                        trial_timeout, cache_dir, policy.lockstep, planner,
                     ): name
                     for name in pending
                 }
@@ -643,11 +644,9 @@ def run_campaign(
                         # then classify the workload as skipped.
                         try:
                             workload_outcome = _workload_task(
-                                level, config, name,
-                                completed_keys[name], trial_timeout,
-                                cache_dir, policy.lockstep,
-                                *((planner, priors[name])
-                                  if planner is not None else ()),
+                                level, config, name, priors[name],
+                                trial_timeout, cache_dir, policy.lockstep,
+                                planner,
                             )
                         except Exception as second_error:
                             workload_outcome = WorkloadRunOutcome(

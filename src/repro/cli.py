@@ -294,15 +294,7 @@ def cmd_campaign_plan(args: argparse.Namespace) -> int:
     planner = _planner_from_args(args)
     workloads = _parse_workloads(args.workloads)
     cache_dir = _resolve_cache_dir(args.cache_dir, args.no_cache)
-    try:
-        config = ArchCampaignConfig(
-            trials_per_workload=args.trials,
-            injection_points=min(args.trials, max(4, args.trials // 3)),
-            workloads=workloads,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"invalid campaign configuration: {exc}") from None
+    config = _campaign_config("arch", args.trials, workloads, args.seed)
     cache = None
     if cache_dir:
         from repro.cache import GoldenArtifactCache
@@ -389,25 +381,10 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             "--memhier-targets and --detectors are uarch-only (the arch "
             "study has no memory-hierarchy state to target)"
         )
-    try:
-        if args.level == "arch":
-            config = ArchCampaignConfig(
-                trials_per_workload=args.trials,
-                injection_points=min(args.trials, max(4, args.trials // 3)),
-                workloads=workloads,
-                seed=args.seed,
-            )
-        else:
-            config = UarchCampaignConfig(
-                trials_per_workload=args.trials,
-                injection_points=min(args.trials, max(4, args.trials // 3)),
-                workloads=workloads,
-                seed=args.seed,
-                memhier_targets=args.memhier_targets,
-                detectors=detectors,
-            )
-    except ValueError as exc:
-        raise SystemExit(f"invalid campaign configuration: {exc}") from None
+    config = _campaign_config(
+        args.level, args.trials, workloads, args.seed,
+        memhier_targets=args.memhier_targets, detectors=detectors,
+    )
     trace = JsonlTraceSink(args.trace) if args.trace else None
     try:
         report = run_campaign(
@@ -485,9 +462,10 @@ def _campaign_config_options(
     memhier_targets: bool = False,
     detectors: tuple[str, ...] = (),
 ) -> dict:
-    """The JSON config options for a job, derived exactly as
-    ``repro campaign`` derives its local config — so a service job's
-    config digest matches a serial CLI run of the same parameters.
+    """The JSON config options for a job, from which ``repro campaign``
+    also builds its local config (:func:`_campaign_config`) — so a
+    service job's config digest matches a serial CLI run of the same
+    parameters.
 
     The memory-hierarchy options are included only when set, mirroring
     their ``omit_default`` journaling: a default submission's config dict
@@ -503,6 +481,20 @@ def _campaign_config_options(
     if detectors:
         options["detectors"] = list(detectors)
     return options
+
+
+def _campaign_config(
+    level: str, trials: int, workloads: tuple[str, ...], seed: int, **options
+):
+    """The config of a local ``repro campaign`` run, built from the
+    options a service job of the same parameters is submitted with, so
+    both have one config digest."""
+    config_class = ArchCampaignConfig if level == "arch" else UarchCampaignConfig
+    options = _campaign_config_options(level, trials, workloads, seed, **options)
+    try:
+        return config_class(**dict(options, workloads=tuple(workloads)))
+    except ValueError as exc:
+        raise SystemExit(f"invalid campaign configuration: {exc}") from None
 
 
 async def _serve_async(args: argparse.Namespace) -> int:

@@ -40,8 +40,13 @@ from repro.campaign.outcomes import (
     GoldenRunError,
     TrialOutcome,
     WorkloadRunOutcome,
-    trial_key,
     validate_shard,
+)
+from repro.campaign.plan import (
+    check_plan_config,
+    expand,
+    run_plan,
+    uniform_allocation,
 )
 from repro.faults.classify import (
     ARCH_CATEGORIES,
@@ -83,26 +88,7 @@ class ArchCampaignConfig:
     workloads: tuple[str, ...] = WORKLOAD_NAMES
 
     def __post_init__(self) -> None:
-        if self.trials_per_workload < 1:
-            raise ValueError(
-                f"trials_per_workload must be >= 1, got {self.trials_per_workload}"
-            )
-        if self.injection_points < 1:
-            raise ValueError(
-                f"injection_points must be >= 1, got {self.injection_points}"
-            )
-        if self.injection_points > self.trials_per_workload:
-            raise ValueError(
-                f"injection_points ({self.injection_points}) cannot exceed "
-                f"trials_per_workload ({self.trials_per_workload}): every "
-                f"injection point needs at least one trial"
-            )
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.workload_scale < 1:
-            raise ValueError(
-                f"workload_scale must be >= 1, got {self.workload_scale}"
-            )
+        check_plan_config(self)
         if self.max_instructions < 1:
             raise ValueError(
                 f"max_instructions must be >= 1, got {self.max_instructions}"
@@ -111,11 +97,6 @@ class ArchCampaignConfig:
             raise ValueError(
                 f"post_injection_slack must be >= 0, got {self.post_injection_slack}"
             )
-        if not self.workloads:
-            raise ValueError("workloads must not be empty")
-        unknown = [name for name in self.workloads if name not in WORKLOAD_NAMES]
-        if unknown:
-            raise ValueError(f"unknown workloads {unknown}; know {WORKLOAD_NAMES}")
 
 
 @dataclass
@@ -239,34 +220,29 @@ def _load_golden(
 def run_workload_trials(
     config: ArchCampaignConfig,
     workload: str,
-    completed: Collection[str] = frozenset(),
+    prior: Collection[TrialOutcome] = (),
     guard: TrialGuard | None = None,
     on_outcome: Callable[[TrialOutcome], None] | None = None,
     shard: tuple[int, int] | None = None,
     cache: GoldenArtifactCache | None = None,
     lockstep: bool = True,
     planner=None,
-    prior: Collection[TrialOutcome] = (),
     planner_round: int | None = None,
     allocation: tuple[tuple[int, int, int], ...] | None = None,
 ) -> WorkloadRunOutcome:
     """Execute one workload's trials under containment.
 
-    Each trial draws its randomness from an independent stream derived
-    from ``(seed, workload, point, index)``, so any subset of trials —
-    a resumed run, a parallel shard — reproduces exactly the records the
-    uninterrupted serial campaign would have produced. Trials whose key
-    is in ``completed`` (already journaled) are skipped; ``on_outcome``
+    The trials are a plan (:mod:`repro.campaign.plan`): each draws its
+    randomness from an independent stream derived from ``(seed,
+    workload, point, index)``, so any subset of trials — a resumed run,
+    a parallel shard — reproduces exactly the records the uninterrupted
+    serial campaign would have produced. ``prior`` holds this workload's
+    journaled outcomes: those trials are not run again. ``on_outcome``
     observes each fresh outcome as soon as it exists, which is how the
-    runner streams results to the journal.
-
-    ``shard=(shard_index, shard_count)`` restricts execution to the
-    stride slice of the per-point trial index space with
-    ``index % shard_count == shard_index``. A stride (rather than a
-    contiguous range) is used because the per-point trial count is only
-    known once the golden run has been walked; the stride slices cover
-    the index space for any per-point count, so the union of all shards
-    is exactly the serial campaign, trial for trial.
+    runner streams results to the journal. ``shard=(shard_index,
+    shard_count)`` restricts execution to the stride slice of the
+    per-point trial index space with ``index % shard_count ==
+    shard_index``.
 
     With a :class:`~repro.cache.GoldenArtifactCache`, the golden run,
     comparator indices, and periodic architectural snapshots are loaded
@@ -275,26 +251,26 @@ def run_workload_trials(
     first pending injection point instead of stepping from reset. Cached
     and uncached executions are bit-identical.
 
-    With ``lockstep=True`` (the default) all pending trials run through
-    the :mod:`repro.faults.lockstep` scheduler against a single golden
-    walk and the recorded results are emitted in serial journal order; a
-    scheduler failure falls back to the serial per-trial path with a
-    warning. Note that per-trial timeout containment is coarser under
-    lockstep: the guard wraps only the result emission, so a wedged
-    trial surfaces as a scheduler-level failure rather than one
-    contained trial record.
+    With ``lockstep=True`` (the default) all pending trials of a round
+    run through the :mod:`repro.faults.lockstep` scheduler against a
+    single golden walk and the recorded results are emitted in serial
+    journal order; a scheduler failure falls back to the serial
+    per-trial path with a warning. Note that per-trial timeout
+    containment is coarser under lockstep: the guard wraps only the
+    result emission, so a wedged trial surfaces as a scheduler-level
+    failure rather than one contained trial record.
 
     A failing golden run skips the workload with a structured warning
     instead of aborting the campaign.
 
+    The uniform campaign is one round on the uniform allocation.
     Adaptive mode (``planner`` set to a
-    :class:`~repro.planner.PlannerConfig`) replaces the uniform split
-    with the round-based planner: round 0 gives every point
-    ``min_trials``, later rounds top up points whose Wilson margin is
-    still wider than the target, and provably-dead points (see
-    :mod:`repro.planner.prescreen`) emit their masked records without
-    simulation. ``prior`` supplies journaled outcomes so a resumed run
-    replays the planner's rounds instead of re-executing them;
+    :class:`~repro.planner.PlannerConfig`) runs the planner's rounds
+    instead: round 0 gives every point ``min_trials``, later rounds top
+    up points whose Wilson margin is still wider than the target, and
+    provably-dead points (see :mod:`repro.planner.prescreen`) emit their
+    masked records without simulation. A resumed run replays ``prior``
+    into the planner, so it rebuilds the same rounds.
     ``planner_round``/``allocation`` let the campaign service execute
     one round at a time (round 0 derives its own allocation and reports
     the point/prescreen metadata; later rounds execute the explicit
@@ -319,110 +295,98 @@ def run_workload_trials(
 
     point_count = min(config.injection_points, len(trace.writer_steps))
     points = sorted(wrng.child("points").sample(trace.writer_steps, point_count))
-    if planner is not None:
-        return _run_adaptive(
-            config, workload, planner, points, bundle, trace, memop_counts,
-            wrng, completed, guard, on_outcome, shard, lockstep, prior,
-            planner_round, allocation, golden_cache,
-        )
-    # Distribute trials so exactly trials_per_workload run: the first
-    # ``extra`` points (in sorted order) take one more than the rest.
-    base_trials, extra = divmod(config.trials_per_workload, point_count)
+    done = {o.order: o for o in prior}
 
-    # One prefix simulator walks forward through all injection points,
-    # starting from the nearest cached snapshot when one is available.
-    prefix = _prefix_simulator(
-        bundle, trace,
-        _first_pending_uniform(workload, points, base_trials, extra,
-                               completed, shard),
-    )
-    # The full pending-trial schedule in serial journal order. Rng children
-    # are pure (seed, label) derivations, so drawing every trial's bit up
-    # front is byte-identical to drawing it just before the trial runs.
-    plan: list[tuple[int, list[tuple[int, int, DeterministicRng]]]] = []
-    for position, point in enumerate(points):
-        per_point = base_trials + (1 if position < extra else 0)
-        pending: list[tuple[int, int, DeterministicRng]] = []
-        for index in range(per_point):
-            if shard is not None and index % shard[1] != shard[0]:
-                continue
-            if trial_key(workload, point, index) in completed:
-                continue
-            trial_rng = wrng.child(f"trial:{point}:{index}")
-            pending.append((index, config.fault_model.choose_bit(trial_rng),
-                            trial_rng))
-        if pending:
-            plan.append((point, pending))
-
-    results: dict[tuple[int, int], ArchTrialResult] | None = None
-    if lockstep and plan:
-        try:
-            results = run_lockstep_trials(
-                config, workload, trace, memop_counts, prefix,
-                [(point, [(index, bit) for index, bit, _ in pending])
-                 for point, pending in plan],
-            )
-            missing = [
-                (point, index)
-                for point, pending in plan
-                for index, _, _ in pending
-                if (point, index) not in results
-            ]
-            if missing:
-                raise AssertionError(
-                    f"lockstep scheduler dropped {len(missing)} trials "
-                    f"(first: {missing[0]})"
+    def run_round(
+        alloc: list[tuple[int, int, int]], prescreened: Collection[int] = ()
+    ) -> list[TrialOutcome]:
+        """Run the round's pending trials and return their outcomes:
+        prescreened points emit masked records, the rest run in lockstep
+        or, as a warned fallback, one serial fork each."""
+        plan = expand(alloc, wrng, shard, done)
+        # Rng children are pure (seed, label) derivations, so drawing
+        # every trial's bit up front equals drawing it just before the
+        # trial runs.
+        bits = {
+            (point, index): config.fault_model.choose_bit(trial_rng)
+            for point, trials in plan
+            for index, trial_rng in trials
+        }
+        live = [
+            (point, [(index, bits[point, index]) for index, _ in trials])
+            for point, trials in plan
+            if point not in prescreened
+        ]
+        results: dict[tuple[int, int], ArchTrialResult] | None = None
+        prefix = _prefix_simulator(bundle, trace, live[0][0]) if live else None
+        if live and lockstep:
+            try:
+                results = run_lockstep_trials(
+                    config, workload, trace, memop_counts, prefix, live
                 )
-        except Exception as exc:
-            warnings.warn(
-                f"lockstep scheduler failed for {workload} "
-                f"({type(exc).__name__}: {exc}); falling back to serial "
-                f"trials",
-                CampaignWorkloadWarning,
-                stacklevel=2,
-            )
-            results = None
-            # The scheduler consumed the prefix walker; rebuild it.
-            prefix = _prefix_simulator(
-                bundle, trace,
-                _first_pending_uniform(workload, points, base_trials, extra,
-                                       completed, shard),
-            )
-
-    outcomes: list[TrialOutcome] = []
-    for point, pending in plan:
-        if results is None:
-            if prefix.retired < point and prefix.running:
-                prefix.run(point - prefix.retired)
-                prefix.resume()
-            if not prefix.running:  # pragma: no cover - golden ran fine
-                break
-        for index, bit, trial_rng in pending:
-            key = trial_key(workload, point, index)
-            if results is None:
-                runner = (
-                    lambda point=point, bit=bit: _run_trial(
-                        workload, prefix, trace, memop_counts, point, bit,
-                        config,
+                missing = [
+                    (point, index)
+                    for point, trials in live
+                    for index, _ in trials
+                    if (point, index) not in results
+                ]
+                if missing:
+                    raise AssertionError(
+                        f"lockstep scheduler dropped {len(missing)} trials "
+                        f"(first: {missing[0]})"
                     )
+            except Exception as exc:
+                warnings.warn(
+                    f"lockstep scheduler failed for {workload} "
+                    f"({type(exc).__name__}: {exc}); falling back to serial "
+                    f"trials",
+                    CampaignWorkloadWarning,
+                    stacklevel=3,
                 )
+                results = None
+                # The scheduler consumed the prefix walker; rebuild it.
+                prefix = _prefix_simulator(bundle, trace, live[0][0])
+
+        def at_point(point: int):
+            if point in prescreened:
+                def run(index: int) -> ArchTrialResult:
+                    return ArchTrialResult(
+                        workload=workload, inject_step=point,
+                        bit=bits[point, index],
+                    )
+            elif results is not None:
+                def run(index: int) -> ArchTrialResult:
+                    return results[(point, index)]
             else:
-                runner = (
-                    lambda point=point, index=index: results[(point, index)]
-                )
-            outcome = guard.run(
-                key, workload, point, index, runner,
-                descriptor={
-                    "level": "arch",
-                    "seed": config.seed,
-                    "trial_seed": trial_rng.seed,
-                    "bit": bit,
-                },
+                if prefix.retired < point and prefix.running:
+                    prefix.run(point - prefix.retired)
+                    prefix.resume()
+                if not prefix.running:  # pragma: no cover - golden ran fine
+                    return None
+
+                def run(index: int) -> ArchTrialResult:
+                    return _run_trial(
+                        workload, prefix, trace, memop_counts, point,
+                        bits[point, index], config,
+                    )
+            return lambda index, trial_rng, _trace: (
+                lambda: run(index), {"bit": bits[point, index]}
             )
-            outcomes.append(outcome)
-            if on_outcome is not None:
-                on_outcome(outcome)
-    return WorkloadRunOutcome(workload, outcomes, golden_cache=golden_cache)
+
+        return run_plan(
+            plan, workload, "arch", config.seed, guard, on_outcome, at_point
+        )
+
+    if planner is None:
+        return WorkloadRunOutcome(
+            workload,
+            run_round(uniform_allocation(points, config.trials_per_workload)),
+            golden_cache=golden_cache,
+        )
+    return _run_adaptive(
+        config, workload, planner, points, trace, done, run_round, shard,
+        planner_round, allocation, golden_cache,
+    )
 
 
 def _run_adaptive(
@@ -430,27 +394,21 @@ def _run_adaptive(
     workload: str,
     planner_config,
     points: list[int],
-    bundle,
     trace,
-    memop_counts,
-    wrng: DeterministicRng,
-    completed: Collection[str],
-    guard: TrialGuard,
-    on_outcome: Callable[[TrialOutcome], None] | None,
+    done: dict[tuple[int, int], TrialOutcome],
+    run_round: Callable[..., list[TrialOutcome]],
     shard: tuple[int, int] | None,
-    lockstep: bool,
-    prior: Collection[TrialOutcome],
     planner_round: int | None,
     allocation: tuple[tuple[int, int, int], ...] | None,
     golden_cache,
 ) -> WorkloadRunOutcome:
     """Adaptive (planner-driven) execution of one workload.
 
-    Three entry modes share one round executor:
+    Three entry modes share the round executor ``run_round``:
 
     - ``planner_round is None``: the full local loop — plan a round,
       execute it, feed every outcome back, repeat until the planner
-      stops. Journaled ``prior`` outcomes are replayed into the planner
+      stops. Journaled outcomes (``done``) are replayed into the planner
       instead of re-executed, which is how a resumed run reconstructs
       the identical round structure (planner decisions are pure
       functions of the cumulative tallies at round boundaries).
@@ -478,137 +436,14 @@ def _run_adaptive(
             "sharded adaptive execution requires per-round scheduling "
             "(pass planner_round/allocation)"
         )
-    prior_by_key = {(o.point, o.index): o for o in prior}
-    budget = resolve_budget(planner_config, config)
-    fresh: list[TrialOutcome] = []
-
-    def run_round(
-        alloc: list[tuple[int, int, int]],
-        prescreened: set[int],
-    ) -> list[tuple[int, bool, bool]]:
-        # Expand the allocation into concrete (index, bit, rng) trials,
-        # respecting the shard stride; replayed prior trials stay in the
-        # emission walk (they feed the planner) but are not re-executed.
-        entries: list[tuple[int, list[tuple[int, int, DeterministicRng]]]] = []
-        for point, start, count in alloc:
-            pend: list[tuple[int, int, DeterministicRng]] = []
-            for index in range(start, start + count):
-                if shard is not None and index % shard[1] != shard[0]:
-                    continue
-                trial_rng = wrng.child(f"trial:{point}:{index}")
-                pend.append(
-                    (index, config.fault_model.choose_bit(trial_rng),
-                     trial_rng)
-                )
-            entries.append((point, pend))
-        live_plan: list[tuple[int, list[tuple[int, int]]]] = []
-        for point, pend in entries:
-            if point in prescreened:
-                continue
-            todo = [(index, bit) for index, bit, _ in pend
-                    if (point, index) not in prior_by_key]
-            if todo:
-                live_plan.append((point, todo))
-
-        results: dict[tuple[int, int], ArchTrialResult] | None = None
-        prefix: ArchSimulator | None = None
-        if live_plan:
-            prefix = _prefix_simulator(bundle, trace, live_plan[0][0])
-            if lockstep:
-                try:
-                    results = run_lockstep_trials(
-                        config, workload, trace, memop_counts, prefix,
-                        live_plan,
-                    )
-                    missing = [
-                        (point, index)
-                        for point, todo in live_plan
-                        for index, _ in todo
-                        if (point, index) not in results
-                    ]
-                    if missing:
-                        raise AssertionError(
-                            f"lockstep scheduler dropped {len(missing)} "
-                            f"trials (first: {missing[0]})"
-                        )
-                except Exception as exc:
-                    warnings.warn(
-                        f"lockstep scheduler failed for {workload} "
-                        f"({type(exc).__name__}: {exc}); falling back to "
-                        f"serial trials",
-                        CampaignWorkloadWarning,
-                        stacklevel=3,
-                    )
-                    results = None
-                    prefix = _prefix_simulator(bundle, trace,
-                                               live_plan[0][0])
-
-        observations: list[tuple[int, bool, bool]] = []
-        for point, pend in entries:
-            needs_serial = (
-                results is None
-                and prefix is not None
-                and point not in prescreened
-                and any((point, index) not in prior_by_key
-                        for index, _, _ in pend)
-            )
-            if needs_serial:
-                if prefix.retired < point and prefix.running:
-                    prefix.run(point - prefix.retired)
-                    prefix.resume()
-                if not prefix.running:  # pragma: no cover - golden ran fine
-                    break
-            for index, bit, trial_rng in pend:
-                outcome = prior_by_key.get((point, index))
-                if outcome is None:
-                    key = trial_key(workload, point, index)
-                    if point in prescreened:
-                        record = ArchTrialResult(
-                            workload=workload, inject_step=point, bit=bit
-                        )
-                        runner = lambda record=record: record
-                    elif results is not None:
-                        runner = (
-                            lambda point=point, index=index:
-                            results[(point, index)]
-                        )
-                    else:
-                        runner = (
-                            lambda point=point, bit=bit: _run_trial(
-                                workload, prefix, trace, memop_counts,
-                                point, bit, config,
-                            )
-                        )
-                    outcome = guard.run(
-                        key, workload, point, index, runner,
-                        descriptor={
-                            "level": "arch",
-                            "seed": config.seed,
-                            "trial_seed": trial_rng.seed,
-                            "bit": bit,
-                        },
-                    )
-                    fresh.append(outcome)
-                    if on_outcome is not None:
-                        on_outcome(outcome)
-                record_failing = (
-                    bool(outcome.record.failing)
-                    if outcome.record is not None else False
-                )
-                observations.append(
-                    (point, outcome.status == OUTCOME_OK, record_failing)
-                )
-        return observations
-
     if planner_round is not None and planner_round > 0:
         if allocation is None:
             raise ValueError(
                 f"round {planner_round} execution needs an explicit "
                 f"allocation"
             )
-        run_round(sorted(allocation), set())
         return WorkloadRunOutcome(
-            workload, fresh, golden_cache=golden_cache,
+            workload, run_round(allocation), golden_cache=golden_cache,
             planner_points=tuple(points),
         )
 
@@ -617,22 +452,33 @@ def _run_adaptive(
         if planner_config.prescreen else set()
     )
     planner = CampaignPlanner(
-        planner_config, points, prescreened, budget=budget
+        planner_config, points, prescreened,
+        budget=resolve_budget(planner_config, config),
     )
     if planner_round == 0:
-        run_round(planner.plan_round(), prescreened)
         return WorkloadRunOutcome(
-            workload, fresh, golden_cache=golden_cache,
+            workload, run_round(planner.plan_round(), prescreened),
+            golden_cache=golden_cache,
             planner_points=tuple(points),
             prescreened_points=tuple(sorted(prescreened)),
         )
 
+    fresh: list[TrialOutcome] = []
+    seen = dict(done)
     while True:
         alloc = planner.plan_round()
         if not alloc:
             break
-        for point, ok, failing in run_round(alloc, prescreened):
-            planner.observe(point, ok=ok, failing=failing)
+        for outcome in run_round(alloc, prescreened):
+            fresh.append(outcome)
+            seen[outcome.order] = outcome
+        for point, start, count in alloc:
+            for index in range(start, start + count):
+                outcome = seen.get((point, index))
+                ok = outcome is not None and outcome.status == OUTCOME_OK
+                planner.observe(
+                    point, ok=ok, failing=ok and bool(outcome.record.failing)
+                )
     return WorkloadRunOutcome(
         workload, fresh, golden_cache=golden_cache,
         planner_points=tuple(points),
@@ -641,46 +487,20 @@ def _run_adaptive(
     )
 
 
-def _first_pending_uniform(
-    workload: str,
-    points: list[int],
-    base_trials: int,
-    extra: int,
-    completed: Collection[str],
-    shard: tuple[int, int] | None,
-) -> int | None:
-    """The earliest uniform-split injection point with a pending trial."""
-    for position, point in enumerate(points):
-        per_point = base_trials + (1 if position < extra else 0)
-        for index in range(per_point):
-            if shard is not None and index % shard[1] != shard[0]:
-                continue
-            if trial_key(workload, point, index) in completed:
-                continue
-            return point
-    return None
-
-
-def _prefix_simulator(
-    bundle,
-    trace,
-    first_pending: int | None,
-) -> ArchSimulator:
+def _prefix_simulator(bundle, trace, first_pending: int) -> ArchSimulator:
     """A prefix simulator positioned as far forward as snapshots allow.
 
-    The earliest injection point with any pending trial (respecting the
-    shard stride and already-journaled keys) bounds how far we may fast-
-    forward; the nearest snapshot at or before it is restored. With no
-    snapshots (uncached runs) or none early enough, the walk starts from
-    reset — exactly the pre-cache behaviour.
+    The earliest injection point with a pending trial bounds how far we
+    may fast-forward; the nearest snapshot at or before it is restored.
+    With no snapshots (uncached runs) or none early enough, the walk
+    starts from reset — exactly the pre-cache behaviour.
     """
     best = None
-    if first_pending is not None:
-        for snap in trace.snapshots:
-            if snap.retired <= first_pending and (
-                best is None or snap.retired > best.retired
-            ):
-                best = snap
+    for snap in trace.snapshots:
+        if snap.retired <= first_pending and (
+            best is None or snap.retired > best.retired
+        ):
+            best = snap
     if best is None:
         return load_program(bundle.program)
     sim = ArchSimulator(

@@ -50,8 +50,13 @@ from repro.campaign.outcomes import (
     CampaignWorkloadWarning,
     TrialOutcome,
     WorkloadRunOutcome,
-    trial_key,
     validate_shard,
+)
+from repro.campaign.plan import (
+    check_plan_config,
+    expand,
+    run_plan,
+    uniform_allocation,
 )
 from repro.faults.classify import (
     UARCH_CATEGORIES,
@@ -110,20 +115,7 @@ class UarchCampaignConfig:
             # Service specs arrive as JSON lists; normalise before the
             # config is hashed so serial and service digests agree.
             object.__setattr__(self, "detectors", tuple(self.detectors))
-        if self.trials_per_workload < 1:
-            raise ValueError(
-                f"trials_per_workload must be >= 1, got {self.trials_per_workload}"
-            )
-        if self.injection_points < 1:
-            raise ValueError(
-                f"injection_points must be >= 1, got {self.injection_points}"
-            )
-        if self.injection_points > self.trials_per_workload:
-            raise ValueError(
-                f"injection_points ({self.injection_points}) cannot exceed "
-                f"trials_per_workload ({self.trials_per_workload}): every "
-                f"injection point needs at least one trial"
-            )
+        check_plan_config(self)
         if self.window_cycles < 1:
             raise ValueError(
                 f"window_cycles must be >= 1, got {self.window_cycles}"
@@ -132,21 +124,10 @@ class UarchCampaignConfig:
             raise ValueError(
                 f"warmup_cycles must be >= 0, got {self.warmup_cycles}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.workload_scale < 1:
-            raise ValueError(
-                f"workload_scale must be >= 1, got {self.workload_scale}"
-            )
         if self.max_golden_cycles < 1:
             raise ValueError(
                 f"max_golden_cycles must be >= 1, got {self.max_golden_cycles}"
             )
-        if not self.workloads:
-            raise ValueError("workloads must not be empty")
-        unknown = [name for name in self.workloads if name not in WORKLOAD_NAMES]
-        if unknown:
-            raise ValueError(f"unknown workloads {unknown}; know {WORKLOAD_NAMES}")
         unknown_detectors = [
             name for name in self.detectors if name not in MEMHIER_DETECTOR_NAMES
         ]
@@ -318,7 +299,7 @@ def run_uarch_campaign(config: UarchCampaignConfig) -> UarchCampaignResult:
 def run_workload_trials(
     config: UarchCampaignConfig,
     workload: str,
-    completed: Collection[str] = frozenset(),
+    prior: Collection[TrialOutcome] = (),
     guard: TrialGuard | None = None,
     on_outcome: Callable[[TrialOutcome], None] | None = None,
     shard: tuple[int, int] | None = None,
@@ -326,18 +307,23 @@ def run_workload_trials(
 ) -> WorkloadRunOutcome:
     """Execute one workload's trials under containment.
 
-    Mirrors :func:`repro.faults.arch_campaign.run_workload_trials`:
-    per-trial randomness is derived from ``(seed, workload, point,
-    index)`` so resumed, sharded, and single-shot runs all produce the
-    same records; journaled keys in ``completed`` are skipped; a failing
-    golden run degrades to a skipped workload with a structured warning;
-    ``shard=(shard_index, shard_count)`` restricts execution to the
-    stride slice ``index % shard_count == shard_index`` of the per-point
-    trial index space (the union of all shards is exactly the serial
-    campaign). Golden runs once (:func:`_run_golden`); the injection
-    points are then drawn from its length, and the trial prefixes and
-    trial-end state are reached from its checkpoints (:func:`_hop`). With
-    a :class:`~repro.cache.GoldenArtifactCache`, a hit replaces the golden
+    The trials are the uniform trial plan of :mod:`repro.campaign.plan`,
+    the plan the arch campaign runs in its uniform mode: per-trial
+    randomness is derived from ``(seed, workload, point, index)`` so
+    resumed, sharded, and single-shot runs all produce the same records;
+    the trials in ``prior`` (this workload's journaled outcomes) are not
+    run again; ``shard=(shard_index, shard_count)`` restricts execution
+    to the stride slice ``index % shard_count == shard_index`` of the
+    per-point trial index space (the union of all shards is exactly the
+    serial campaign); a failing golden run degrades to a skipped workload
+    with a structured warning.
+
+    Golden runs once (:func:`_run_golden`); the injection points are then
+    drawn from its length. Only the points with a pending trial are
+    reached: their trial-end state is taken, and then their prefixes one
+    at a time as the trials need them, each by a short walk from golden's
+    checkpoints (:func:`_hop`). With a
+    :class:`~repro.cache.GoldenArtifactCache`, a hit replaces the golden
     pass with one cache load and takes the same hop path, so cached and
     uncached runs are bit-identical. ``trace`` on the result carries the
     golden run's length, its checkpoint count and the cycles the hops
@@ -367,6 +353,10 @@ def run_workload_trials(
         last = max(first + 1, end_cycle - 100)
         point_count = min(config.injection_points, last - first)
         points = sorted(wrng.child("points").sample(range(first, last), point_count))
+        plan = expand(
+            uniform_allocation(points, config.trials_per_workload), wrng,
+            shard, {o.order for o in prior},
+        )
         golden_trace = {
             "golden_cycles": end_cycle,
             "checkpoints": len(golden.checkpoints),
@@ -374,16 +364,20 @@ def run_workload_trials(
         }
         snapshots: dict[int, list[int]] = {}
         retired_at: dict[int, int] = {}
-        ends = {point + config.window_cycles for point in points}
+        ends = {point + config.window_cycles for point, _ in plan}
         for machine in _hop(golden, ends, golden_trace):
             snapshots[machine.cycle_count] = machine.registry.snapshot()
             retired_at[machine.cycle_count] = machine.retired_count
         golden = replace(golden, snapshots=snapshots, retired_at=retired_at)
         # Prefixes are reached one at a time, as the trials need them; the
         # first restore happens here, so a checkpoint that cannot load
-        # skips the workload like a failing golden run.
-        prefixes = _hop(golden, points, golden_trace)
-        first = next(prefixes)
+        # skips the workload like a failing golden run. With no trial
+        # pending, the cycle-0 checkpoint stands in for the first prefix.
+        prefixes = _hop(golden, [point for point, _ in plan], golden_trace)
+        first = (
+            next(prefixes) if plan
+            else Pipeline.restore(golden.checkpoints[0])
+        )
         total_bits = first.registry.total_bits()
     except Exception as exc:
         reason = f"{type(exc).__name__}: {exc}"
@@ -394,45 +388,30 @@ def run_workload_trials(
         )
         return WorkloadRunOutcome(workload, skip_reason=reason)
 
-    # Distribute trials so exactly trials_per_workload run: the first
-    # ``extra`` points (in sorted order) take one more than the rest.
-    base_trials, extra = divmod(config.trials_per_workload, point_count)
-    outcomes: list[TrialOutcome] = []
-    # zip stops early if golden halted before a point.
-    for position, (point, prefix) in enumerate(
-        zip(points, chain([first], prefixes))
-    ):
-        per_point = base_trials + (1 if position < extra else 0)
-        for index in range(per_point):
-            if shard is not None and index % shard[1] != shard[0]:
-                continue
-            key = trial_key(workload, point, index)
-            if key in completed:
-                continue
-            trial_rng = wrng.child(f"trial:{point}:{index}")
+    prefixes = chain([first], prefixes)
+
+    def at_point(point: int):
+        prefix = next(prefixes, None)
+        if prefix is None:  # golden halted before the point
+            return None
+
+        def trial(index: int, trial_rng: DeterministicRng, trace: dict):
             flip_field, bit = prefix.registry.pick_bit(
                 trial_rng, classes=config.fault_model.target_classes
             )
-            trace: dict[str, int] = {}
-            outcome = guard.run(
-                key, workload, point, index,
+            return (
                 lambda: _run_trial(
                     workload, prefix, golden, config, point, flip_field.index,
                     bit, trace,
                 ),
-                descriptor={
-                    "level": "uarch",
-                    "seed": config.seed,
-                    "trial_seed": trial_rng.seed,
-                    "field": flip_field.name,
-                    "bit": bit,
-                },
+                {"field": flip_field.name, "bit": bit},
             )
-            if trace:
-                outcome = replace(outcome, trace=trace)
-            outcomes.append(outcome)
-            if on_outcome is not None:
-                on_outcome(outcome)
+
+        return trial
+
+    outcomes = run_plan(
+        plan, workload, "uarch", config.seed, guard, on_outcome, at_point
+    )
     return WorkloadRunOutcome(
         workload, outcomes, total_bits=total_bits, golden_cache=golden_cache,
         trace=golden_trace,

@@ -49,7 +49,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 
 from repro.campaign.guard import TrialGuard
 from repro.campaign.outcomes import OUTCOME_OK
-from repro.campaign.runner import _campaign_module
+from repro.campaign.runner import _run_workload
 from repro.service.client import ServiceClientError
 from repro.service.shard import WorkUnit
 from repro.service.spec import JobSpec
@@ -72,27 +72,20 @@ def execute_unit(
     """
     spec = JobSpec.from_dict(spec_dict)
     unit = WorkUnit.from_dict(unit_dict)
-    module = _campaign_module(spec.level)
-    guard = TrialGuard(timeout=spec.trial_timeout)
     cache = None
     if cache_dir is not None:
         from repro.cache import GoldenArtifactCache
 
         cache = GoldenArtifactCache(cache_dir)
-    extra: dict = {}
-    if spec.planner is not None:
-        # Adaptive units execute exactly one planner round: round 0 is
-        # derived from the golden trace (the worker reports the point
-        # set and prescreen verdicts back as planner metadata), later
-        # rounds run the explicit allocation the scheduler attached.
-        extra.update(
-            planner=spec.planner,
-            planner_round=unit.round,
-            allocation=unit.allocation,
-        )
-    outcome = module.run_workload_trials(
-        spec.config, unit.workload, guard=guard, shard=unit.shard,
-        cache=cache, **extra,
+    # Adaptive units execute exactly one planner round: round 0 is derived
+    # from the golden trace (the worker reports the point set and
+    # prescreen verdicts back as planner metadata), later rounds run the
+    # explicit allocation the scheduler attached.
+    outcome = _run_workload(
+        spec.level, spec.config, unit.workload,
+        guard=TrialGuard(timeout=spec.trial_timeout), shard=unit.shard,
+        cache=cache, planner=spec.planner, planner_round=unit.round,
+        allocation=unit.allocation,
     )
     from repro.telemetry.metrics import aggregate_campaign
 

@@ -553,7 +553,7 @@ class TestWorkerRetryTelemetry:
 
             def submit(self, fn, *args):
                 future = Future()
-                name = args[2]  # (level, config, workload, completed, timeout)
+                name = args[2]  # (level, config, workload, prior, timeout, ...)
                 if deaths.pop(name, False):
                     future.set_exception(
                         RuntimeError("worker process died mid-workload")
@@ -626,12 +626,10 @@ class TestWorkerRetryTelemetry:
         # pool routes gzip through this same function and gzip must run.
         real_task = runner_module._workload_task
 
-        def dying_task(level, cfg, workload, completed, timeout,
-                       cache_dir=None, lockstep=True):
+        def dying_task(level, cfg, workload, *args, **kwargs):
             if workload == "gcc":
                 raise RuntimeError("retry also died")
-            return real_task(level, cfg, workload, completed, timeout,
-                             cache_dir, lockstep)
+            return real_task(level, cfg, workload, *args, **kwargs)
 
         monkeypatch.setattr(runner_module, "_workload_task", dying_task)
         journal = str(tmp_path / "skip.jsonl")

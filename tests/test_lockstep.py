@@ -12,7 +12,7 @@ import pytest
 from repro.arch import load_program
 from repro.cache import ArchGoldenArtifact, GoldenArtifactCache
 from repro.campaign import run_campaign
-from repro.campaign.outcomes import CampaignWorkloadWarning, trial_key
+from repro.campaign.outcomes import CampaignWorkloadWarning
 from repro.faults import ArchCampaignConfig, arch_campaign
 from repro.faults.lockstep import LockstepStats, run_lockstep_trials
 from repro.isa import assemble
@@ -264,16 +264,12 @@ class TestSnapshotBoundaryFork:
         cache = GoldenArtifactCache(str(tmp_path))
         reference = arch_campaign.run_workload_trials(config, "gcc")
         reference_entries = entries(reference)
-        completed = {
-            trial_key("gcc", e["point"], e["index"])
-            for e in reference_entries
-            if e["point"] == points[0]
-        }
-        assert completed  # the first point did run trials
+        prior = [o for o in reference.outcomes if o.point == points[0]]
+        assert prior  # the first point did run trials
         arch_campaign.run_workload_trials(config, "gcc", cache=cache)
         for lockstep in (True, False):
             resumed = arch_campaign.run_workload_trials(
-                config, "gcc", completed=completed, cache=cache,
+                config, "gcc", prior=prior, cache=cache,
                 lockstep=lockstep,
             )
             assert resumed.golden_cache == "hit"

@@ -134,3 +134,32 @@ def test_golden_trace_event_per_workload():
     assert [o.to_entry() for o in report.outcomes] == [
         o.to_entry() for o in untraced.outcomes
     ]
+
+
+PENDING = UarchCampaignConfig(
+    trials_per_workload=4, injection_points=4, window_cycles=800,
+    workloads=("gcc",),
+)
+
+
+def test_hops_reach_pending_points_only(tmp_path):
+    """A unit with no pending trial hops nowhere, and a resume with one
+    pending trial hops less than the full run, with the same record."""
+    cache = GoldenArtifactCache(str(tmp_path))
+    full = uarch_campaign.run_workload_trials(PENDING, "gcc", cache=cache)
+    assert len(full.outcomes) == 4
+    # One trial per point: every trial index is 0, so shard 1 of 2 is empty.
+    empty = uarch_campaign.run_workload_trials(
+        PENDING, "gcc", shard=(1, 2), cache=cache
+    )
+    assert empty.outcomes == []
+    assert empty.trace["hop_cycles"] == 0
+    assert empty.total_bits == full.total_bits > 0
+    resumed = uarch_campaign.run_workload_trials(
+        PENDING, "gcc", prior=full.outcomes[:-1], cache=cache
+    )
+    assert 0 < resumed.trace["hop_cycles"] < full.trace["hop_cycles"]
+    assert resumed.total_bits == full.total_bits
+    assert [o.to_entry() for o in resumed.outcomes] == [
+        full.outcomes[-1].to_entry()
+    ]
